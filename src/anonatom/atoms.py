@@ -7,10 +7,12 @@ published values never narrows their protected values below k candidates.
 k = 2 is the plain anonymity atom: for every row there is another row
 with the same published tuple and a different protected tuple.
 
-Several independently coded routes to the same semantics are exported
-(per-row witness search, an inclusion-atom translation) so that tests
-can cross-check them, plus the counting-based criterion that looks
-similar but is genuinely different.
+The production checkers (anonymity, k-anonymity, the degree, the audit
+counts, dependence and independence) all derive from one grouping pass,
+``_groups``.  The per-row witness search, the inclusion-atom translation
+and the counting-based criterion (which looks similar but is genuinely
+different) are reference implementations: independently coded, exported,
+and kept only so that tests can cross-check the production checkers.
 
 Conventions the definitions leave open: the empty team satisfies every
 atom; an empty protected side with k >= 2 holds only on the empty team
@@ -20,11 +22,13 @@ team.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence, Union
+from operator import itemgetter
+from typing import Callable, Sequence, Union
 
 from .errors import ArityError
-from .team import Row, Team, group_by
+from .team import Row, Team
 
 
 def _positive_multiplicity(k: object) -> int:
@@ -142,10 +146,32 @@ UNBOUNDED = _UnboundedDegree()
 Degree = Union[int, _UnboundedDegree]
 
 
-def _tuples(team: Team, attrs: Sequence[str]):
-    """(published-key, protected-key) extractors bound to this team's schema."""
+def _extractor(team: Team, attrs: Sequence[str]) -> Callable[[Row], Row]:
+    """Row -> value tuple over ``attrs``, bound to this team's schema.
+
+    Always a tuple: ``itemgetter`` returns a bare value for one index and
+    cannot be built from none, so those two cases get their own branch.
+    """
     idx = team.schema.indexes(attrs)
-    return lambda row: tuple(row[i] for i in idx)
+    if not idx:
+        return lambda row: ()
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda row: (row[i],)
+    return itemgetter(*idx)
+
+
+def _groups(team: Team, published: Sequence[str], protected: Sequence[str]) -> dict[Row, list[Row]]:
+    """The one grouping pass under every production checker: each
+    published key with the protected tuple of each of its rows, so a
+    group's row count is the list's length and its distinct protected
+    tuples are the list's set.  Keys come in no particular order."""
+    pub = _extractor(team, published)
+    prot = _extractor(team, protected)
+    groups: dict[Row, list[Row]] = defaultdict(list)
+    for row in team.rows:
+        groups[pub(row)].append(prot(row))
+    return groups
 
 
 def check_anonymity(team: Team, published: Sequence[str], protected: Sequence[str]) -> bool:
@@ -156,46 +182,31 @@ def check_anonymity(team: Team, published: Sequence[str], protected: Sequence[st
     protected tuples.  The empty team qualifies; with an empty protected
     side only the empty team does.
     """
-    pub = _tuples(team, published)
-    prot = _tuples(team, protected)
-    first_seen: dict[Row, Row] = {}
-    varied: set[Row] = set()
-    for row in team.rows:
-        key = pub(row)
-        value = prot(row)
-        if key not in first_seen:
-            first_seen[key] = value
-        elif value != first_seen[key]:
-            varied.add(key)
-    return all(key in varied for key in first_seen)
+    return check_k_anonymity(team, published, protected, 2)
 
 
 def check_k_anonymity(team: Team, published: Sequence[str], protected: Sequence[str], k: int) -> bool:
     """True iff every published-group shows at least k distinct protected
     tuples.  k = 1 holds on every team; k = 2 is ``check_anonymity``."""
-    _positive_multiplicity(k)
-    pub = _tuples(team, published)
-    prot = _tuples(team, protected)
-    if k == 1:
+    if _positive_multiplicity(k) == 1:
+        team.schema.indexes((*published, *protected))  # unknown names still raise
         return True
-    values: dict[Row, set[Row]] = {}
-    for row in team.rows:
-        values.setdefault(pub(row), set()).add(prot(row))
-    return all(len(seen) >= k for seen in values.values())
+    return all(len(set(values)) >= k for values in _groups(team, published, protected).values())
 
 
 def check_k_anonymity_existential(
     team: Team, published: Sequence[str], protected: Sequence[str], k: int
 ) -> bool:
-    """Witness-search formulation: for every row, find k rows that agree
-    with it on ``published`` and carry pairwise distinct protected tuples.
+    """Reference implementation, witness-search formulation: for every
+    row, find k rows that agree with it on ``published`` and carry
+    pairwise distinct protected tuples.
 
     Scans the whole team per row instead of grouping; agrees with
     ``check_k_anonymity`` on every input (a tested equivalence).
     """
     _positive_multiplicity(k)
-    pub = _tuples(team, published)
-    prot = _tuples(team, protected)
+    pub = _extractor(team, published)
+    prot = _extractor(team, protected)
     rows = list(team.rows)
     for row in rows:
         key = pub(row)
@@ -213,13 +224,13 @@ def check_k_anonymity_existential(
 def check_k_counting_variant(
     team: Team, published: Sequence[str], protected: Sequence[str], k: int
 ) -> bool:
-    """Counting criterion: every row must have at least k *rows* (not
-    values) agreeing on ``published`` and differing on the protected
-    tuple.  Not equivalent to ``check_k_anonymity``; exported so the
-    difference can be exhibited."""
+    """Reference implementation of the counting criterion: every row must
+    have at least k *rows* (not values) agreeing on ``published`` and
+    differing on the protected tuple.  Not equivalent to
+    ``check_k_anonymity``; exported so the difference can be exhibited."""
     _positive_multiplicity(k)
-    pub = _tuples(team, published)
-    prot = _tuples(team, protected)
+    pub = _extractor(team, published)
+    prot = _extractor(team, protected)
     rows = list(team.rows)
     for row in rows:
         key = pub(row)
@@ -238,9 +249,8 @@ def check_k_counting_variant(
 def check_dependence(team: Team, determinants: Sequence[str], dependents: Sequence[str]) -> bool:
     """Functional dependence: within every determinant-group the dependent
     tuple is constant."""
-    dep = _tuples(team, dependents)
-    groups = group_by(team, determinants)
-    return all(len({dep(row) for row in rows}) <= 1 for rows in groups.values())
+    groups = _groups(team, determinants, dependents)
+    return all(len(set(values)) <= 1 for values in groups.values())
 
 
 def check_inclusion(team: Team, source: Sequence[str], target: Sequence[str]) -> bool:
@@ -249,8 +259,8 @@ def check_inclusion(team: Team, source: Sequence[str], target: Sequence[str]) ->
         raise ArityError(
             f"inclusion sides must have equal length: {len(source)} vs {len(target)}"
         )
-    src = _tuples(team, source)
-    tgt = _tuples(team, target)
+    src = _extractor(team, source)
+    tgt = _extractor(team, target)
     occurring = {tgt(row) for row in team.rows}
     return all(src(row) in occurring for row in team.rows)
 
@@ -262,30 +272,23 @@ def check_independence(team: Team, left: Sequence[str], right: Sequence[str]) ->
     Note this may hold while anonymity fails, e.g. when the right side is
     constant.
     """
-    lf = _tuples(team, left)
-    rt = _tuples(team, right)
-    lefts: set[Row] = set()
-    rights: set[Row] = set()
-    pairs: set[tuple[Row, Row]] = set()
-    for row in team.rows:
-        a, b = lf(row), rt(row)
-        lefts.add(a)
-        rights.add(b)
-        pairs.add((a, b))
-    return len(pairs) == len(lefts) * len(rights)
+    seen = [set(values) for values in _groups(team, left, right).values()]
+    rights = set().union(*seen)
+    return all(len(values) == len(rights) for values in seen)
 
 
 def check_anonymity_via_inclusion(
     team: Team, published: Sequence[str], protected: Sequence[str]
 ) -> bool:
-    """Anonymity via its inclusion-logic reading: per row, search for a
-    witness tuple u different from the row's protected tuple such that
-    (published, u) occurs as a (published, protected) tuple of some row.
+    """Reference implementation, anonymity via its inclusion-logic
+    reading: per row, search for a witness tuple u different from the
+    row's protected tuple such that (published, u) occurs as a
+    (published, protected) tuple of some row.
 
     Must agree with ``check_anonymity`` everywhere (a tested equivalence).
     """
-    pub = _tuples(team, published)
-    prot = _tuples(team, protected)
+    pub = _extractor(team, published)
+    prot = _extractor(team, protected)
     pairs = {(pub(row), prot(row)) for row in team.rows}
     for row in team.rows:
         key = pub(row)
@@ -302,26 +305,17 @@ def anonymity_degree(team: Team, published: Sequence[str], protected: Sequence[s
     The empty team has degree UNBOUNDED, which compares above every
     integer.
     """
-    pub = _tuples(team, published)
-    prot = _tuples(team, protected)
-    values: dict[Row, set[Row]] = {}
-    for row in team.rows:
-        values.setdefault(pub(row), set()).add(prot(row))
-    if not values:
-        return UNBOUNDED
-    return min(len(seen) for seen in values.values())
+    groups = _groups(team, published, protected)
+    return min((len(set(values)) for values in groups.values()), default=UNBOUNDED)
 
 
 def group_distinct_counts(
     team: Team, published: Sequence[str], protected: Sequence[str]
 ) -> dict[Row, tuple[int, int]]:
     """Audit view: per published-group key, (rows in group, distinct
-    protected tuples)."""
-    prot = _tuples(team, protected)
-    out: dict[Row, tuple[int, int]] = {}
-    for key, rows in group_by(team, published).items():
-        out[key] = (len(rows), len({prot(row) for row in rows}))
-    return out
+    protected tuples).  Keys come in no particular order."""
+    groups = _groups(team, published, protected)
+    return {key: (len(values), len(set(values))) for key, values in groups.items()}
 
 
 def satisfies(team: Team, atom: AnyAtom) -> bool:

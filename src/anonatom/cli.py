@@ -14,13 +14,7 @@ import sys
 from typing import Sequence
 
 from . import __version__
-from .atoms import (
-    UNBOUNDED,
-    Atom,
-    anonymity_degree,
-    group_distinct_counts,
-    satisfies,
-)
+from .atoms import UNBOUNDED, Atom, _extractor, group_distinct_counts
 from .errors import AnonatomError, ConfigError
 from .inference import (
     Verdict,
@@ -127,26 +121,21 @@ def _cmd_check(args) -> int:
     pretty = [f"team: {args.team} ({len(team)} rows)"]
     if args.atom is not None:
         atom = parse_atom(args.atom)
-        verdict = satisfies(team, atom)
+        counts = group_distinct_counts(team, atom.published, atom.protected)
+        failing = [key for key, (_, distinct) in counts.items() if distinct < atom.k]
+        verdict = not failing
         document["query"] = {"kind": "atom", "text": args.atom.strip()}
         document["verdict"] = verdict
         evidence = None
-        if not verdict:
-            counts = group_distinct_counts(team, atom.published, atom.protected)
-            failing = sorted(key for key, (_, distinct) in counts.items() if distinct < atom.k)
-            if failing:
-                key = failing[0]
-                group_rows = [
-                    row
-                    for row in team.sorted_rows()
-                    if tuple(row[team.schema.index(a)] for a in atom.published) == key
-                ]
-                evidence = {
-                    "published_key": list(key),
-                    "distinct_protected": counts[key][1],
-                    "required": atom.k,
-                    "rows": [list(r) for r in group_rows],
-                }
+        if failing:
+            key = min(failing)
+            published = _extractor(team, atom.published)
+            evidence = {
+                "published_key": list(key),
+                "distinct_protected": counts[key][1],
+                "required": atom.k,
+                "rows": [list(row) for row in sorted(r for r in team.rows if published(r) == key)],
+            }
         document["evidence"] = evidence
         pretty.append(f"atom: {args.atom.strip()}")
         pretty.append(f"verdict: {'holds' if verdict else 'fails'}")
@@ -179,8 +168,8 @@ def _cmd_audit(args) -> int:
     protect = _split_names(args.protect)
     if not protect:
         raise ConfigError("--protect needs at least one attribute")
-    degree = anonymity_degree(team, publish, protect)
     counts = group_distinct_counts(team, publish, protect)
+    degree = min((distinct for _, distinct in counts.values()), default=UNBOUNDED)
     groups = [
         {"key": list(key), "rows": size, "distinct_protected": distinct}
         for key, (size, distinct) in sorted(counts.items())

@@ -345,13 +345,7 @@ class _Saturation:
         proof = self.proofs[triple]
         conclusion = atom_from_normal(NormalAtom(*triple))
         if proof[0] == "hyp":
-            hyp: Atom = proof[1]
-            node = Derivation(Rule.HYPOTHESIS, hyp)
-            if hyp != conclusion:
-                dropped = set(hyp.protected) - triple[1]
-                rule = Rule.CANCELLATION if dropped else Rule.PERMUTATION
-                node = Derivation(rule, conclusion, (node,))
-            return node
+            return _weakening(proof[1], conclusion)
         if proof[0] == "k1":
             return Derivation(Rule.K1_TRIVIAL, conclusion)
         if proof[0] == "A2":

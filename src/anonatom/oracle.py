@@ -162,10 +162,11 @@ def semantic_entails(sigma: AtomSet, goal: Atom, cfg: OracleConfig) -> OracleRes
                 f"exceeds the 2^{_MAX_GRID}-team limit"
             )
         cache = _cache_for(attrs, domain)
-        sigma_mask = cache.count - 1
+        every_team = (1 << cache.count) - 1
+        sigma_mask = every_team
         for hyp in sigma.atoms:
             sigma_mask &= cache.mask(hyp)
-        refuting = sigma_mask & ~cache.mask(goal) & (cache.count - 1)
+        refuting = sigma_mask & ~cache.mask(goal) & every_team
         checked += cache.count
         if refuting:
             index = (refuting & -refuting).bit_length() - 1

@@ -41,20 +41,22 @@ def read_team_csv(source: Source) -> LoadedTeam:
 def _read(handle: IO[str]) -> LoadedTeam:
     reader = csv.reader(handle)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("empty CSV input: missing header row") from None
-    schema = Schema(tuple(header))
-    width = len(schema)
-    rows = []
-    for record in reader:
-        if not record:
-            continue  # blank line
-        if len(record) != width:
-            raise ParseError(
-                f"expected {width} fields, got {len(record)}", line=reader.line_num
-            )
-        rows.append(tuple(record))
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError("empty CSV input: missing header row")
+        schema = Schema(tuple(header))
+        width = len(schema)
+        rows = []
+        for record in reader:
+            if not record:
+                continue  # blank line
+            if len(record) != width:
+                raise ParseError(
+                    f"expected {width} fields, got {len(record)}", line=reader.line_num
+                )
+            rows.append(tuple(record))
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from exc
     team = Team(schema, frozenset(rows))
     return LoadedTeam(team, len(rows) - len(team))
 

@@ -60,9 +60,22 @@ class TestCheck:
         code, doc = run_json(capsys, "check", "--team", census_csv, "--atom", "surname Y hometown")
         assert code == 1
         assert doc["verdict"] is False
-        assert doc["evidence"]["distinct_protected"] == 1
-        assert doc["evidence"]["required"] == 2
-        assert len(doc["evidence"]["rows"]) >= 1
+        assert doc["evidence"] == {
+            "published_key": ["Balbuk"],
+            "distinct_protected": 1,
+            "required": 2,
+            "rows": [["Balbuk", "Watarru", "70,000"]],
+        }
+
+    def test_evidence_is_the_smallest_failing_group_in_sorted_order(self, capsys, census_csv):
+        code, doc = run_json(capsys, "check", "--team", census_csv, "--atom", "hometown Y salary")
+        assert code == 1
+        assert doc["evidence"] == {
+            "published_key": ["Amata"],
+            "distinct_protected": 1,
+            "required": 2,
+            "rows": [["Barambah", "Amata", "90,000"], ["Williams", "Amata", "90,000"]],
+        }
 
     def test_unknown_attribute_exits_two(self, capsys, census_csv):
         code, doc = run_json(capsys, "check", "--team", census_csv, "--atom", "age Y surname")
@@ -142,6 +155,37 @@ class TestAudit:
         )
         assert code == 0
         assert doc["degree"] == "unbounded"
+
+    def test_one_published_attribute(self, capsys, census_csv):
+        code, doc = run_json(
+            capsys, "audit", "--team", census_csv, "--publish", "hometown", "--protect", "salary"
+        )
+        assert code == 0
+        assert doc["degree"] == 1
+        assert doc["groups"] == [
+            {"key": ["Amata"], "rows": 2, "distinct_protected": 1},
+            {"key": ["Finke"], "rows": 2, "distinct_protected": 1},
+            {"key": ["Watarru"], "rows": 2, "distinct_protected": 1},
+        ]
+
+    def test_nothing_published(self, capsys, census_csv):
+        code, doc = run_json(
+            capsys, "audit", "--team", census_csv, "--publish", "", "--protect", "hometown"
+        )
+        assert code == 0
+        assert doc["degree"] == 3
+        assert doc["groups"] == [{"key": [], "rows": 6, "distinct_protected": 3}]
+
+    def test_oversized_csv_field_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("a,b\n0," + "x" * 200_000 + "\n", encoding="utf-8")
+        code = main(["audit", "--team", str(path), "--publish", "a", "--protect", "b"])
+        captured = capsys.readouterr()
+        assert code == 2
+        record = json.loads(captured.out)
+        assert record["error"]["kind"] == "ParseError"
+        assert captured.out.strip().count("\n") == 0
+        assert "Traceback" not in captured.err
 
     def test_protect_required_nonempty(self, capsys, census_csv):
         code, doc = run_json(

@@ -191,6 +191,15 @@ class TestSaturation:
         assert result.derivable
         assert verify_derivation(result.derivation, sigma)
 
+    @pytest.mark.parametrize("hyp", [atom("x", "y", 3), atom("x", "xy", 3)])
+    def test_capped_hypothesis_gives_verified_tree(self, hyp):
+        # the hypothesis's multiplicity is capped at the goal's, so the tree
+        # must lower it by weakening, not by permutation or cancellation
+        sigma = AtomSet.of(hyp)
+        result = entails_k_saturate(sigma, atom("x", "y", 2))
+        assert result.derivable
+        assert verify_derivation(result.derivation, sigma)
+
     def test_unreachable_goal_is_unknown(self):
         result = entails_k_saturate(AtomSet.of(), atom("x", "y", 3))
         assert result.verdict is Verdict.UNKNOWN

@@ -98,6 +98,15 @@ class TestExhaustive:
         assert result.status is OracleStatus.REFUTED
         assert refutes(result.refuter, sigma, goal)
 
+    def test_refuter_outside_the_first_grid_teams(self):
+        # no candidate construction refutes this one; the lattice holds 8 of
+        # 256 refuters, all past team index 7, e.g. rows 000, 010, 100
+        sigma = AtomSet.of(atom("c", "ab", 3), atom("c", "b"))
+        goal = atom("a", "cb")
+        result = semantic_entails(sigma, goal, CFG2)
+        assert result.status is OracleStatus.REFUTED
+        assert refutes(result.refuter, sigma, goal)
+
     def test_agrees_with_simple_k_engine(self):
         # refutations coincide with NotDerivable verdicts; ENTAILED only
         # appears where the small domain can certify it, and then agrees
