@@ -71,17 +71,32 @@ def _checked_report(
     return CountermodelReport(team, hypothesis_status, goal, domain_size, construction)
 
 
-def _grid_team(attrs: Iterable[str], domain_size: int, keep) -> Team:
-    """All assignments over ``attrs`` x {0..domain_size-1} passing ``keep``,
-    enumerated in a fixed order (attributes sorted, values lexicographic)."""
+def _grid_team(
+    attrs: Iterable[str],
+    domain_size: int,
+    published: Iterable[str] = (),
+    protected: Iterable[str] = (),
+    bound: int = 0,
+) -> Team:
+    """All assignments over ``attrs`` x {0..domain_size-1} with a nonzero
+    ``published`` value or every ``protected`` value at most ``bound``.
+
+    ``published`` and ``protected`` are disjoint; with no protected
+    attributes every assignment is kept.  The rows come from products of
+    per-attribute value choices, with no test per assignment: the full
+    grid, less its all-zero published slice, plus the part of that slice
+    whose protected values are all at most ``bound``.
+    """
     names = tuple(sorted(attrs))
-    schema = Schema(names)
-    rows = []
-    for cells in itertools.product(range(domain_size), repeat=len(names)):
-        values = dict(zip(names, cells))
-        if keep(values):
-            rows.append(tuple(str(c) for c in cells))
-    return Team(schema, frozenset(rows))
+    tokens = tuple(str(v) for v in range(domain_size))
+
+    def grid(choices: dict[str, tuple[str, ...]]) -> set[tuple[str, ...]]:
+        return set(itertools.product(*(choices.get(a, tokens) for a in names)))
+
+    zero = dict.fromkeys(published, tokens[:1])
+    low = dict.fromkeys(protected, tokens[: bound + 1])
+    rows = grid({}) - grid(zero) | grid({**zero, **low})
+    return Team(Schema(names), frozenset(rows))
 
 
 def ternary_team_size(attribute_count: int, published: int, protected: int) -> int:
@@ -114,12 +129,7 @@ def build_anonymity_countermodel(
             f"cap is {max_attributes} (try a smaller instance)"
         )
 
-    def keep(values: dict[str, int]) -> bool:
-        return any(values[x] != 0 for x in g.published) or all(
-            values[y] == 0 for y in g.protected
-        )
-
-    team = _grid_team(attrs, 3, keep)
+    team = _grid_team(attrs, 3, g.published, g.protected)
     return _checked_report(team, sigma, goal, 3, CONSTRUCTION_TERNARY)
 
 
@@ -146,7 +156,6 @@ def build_k_anonymity_countermodel(
         raise ValueError(
             "goal protects nothing after cancellation; use build_full_grid_countermodel"
         )
-    (protected_attr,) = g.protected
     # guard the documented precondition (a non-derivable instance): when the
     # goal follows from the hypotheses no truncation can ever verify
     for hyp in sigma.atoms:
@@ -166,11 +175,7 @@ def build_k_anonymity_countermodel(
             raise ResourceError(
                 f"domain {domain} over {len(attrs)} attributes exceeds {max_rows} rows"
             )
-
-        def keep(values: dict[str, int]) -> bool:
-            return any(values[x] != 0 for x in g.published) or values[protected_attr] <= goal.k - 2
-
-        team = _grid_team(attrs, domain, keep)
+        team = _grid_team(attrs, domain, g.published, g.protected, goal.k - 2)
         if all(satisfies(team, hyp) for hyp in sigma.atoms) and not satisfies(team, goal):
             return _checked_report(team, sigma, goal, domain, CONSTRUCTION_TRUNCATED)
         domain += 1
@@ -193,7 +198,7 @@ def build_full_grid_countermodel(
         raise ResourceError(
             f"domain {domain} over {len(attrs)} attributes exceeds {max_rows} rows"
         )
-    team = _grid_team(attrs, domain, lambda values: True)
+    team = _grid_team(attrs, domain)
     return _checked_report(team, sigma, goal, domain, CONSTRUCTION_FULL)
 
 

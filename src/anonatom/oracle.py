@@ -4,7 +4,13 @@
 first tests the explicit countermodel constructions as candidate
 refuters (they are complete refuters on their fragments, which matters
 because some non-entailed claims have no refuter over a two-valued
-domain), then enumerates or samples teams over a small value domain.
+domain), then checks every team over a small value domain or samples
+some.
+
+Exhaustive mode builds no team to check them: per atom it computes one
+bitmap, one bit per team over the grid of assignments, straight from
+the grid rows (``_GridCache``), and the lowest set bit of the refuting
+bitmap names the one team it builds, the refuter.
 
 Exhaustive mode answers ENTAILED or REFUTED; random mode answers
 REFUTED or UNKNOWN, never ENTAILED.  For instances mentioning
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -24,7 +31,7 @@ from typing import Sequence
 from .atoms import Atom, satisfies
 from .countermodel import candidate_teams
 from .errors import ConfigError
-from .inference import AtomSet, NormalAtom, normalize, universe
+from .inference import AtomSet, universe
 from .team import Schema, Team
 
 EXHAUSTIVE = "exhaustive"
@@ -89,49 +96,85 @@ def random_team(
 
 
 class _GridCache:
-    """Satisfaction bitmaps for every team over one assignment grid.
+    """Satisfaction bitmaps for one grid shape, computed from the grid rows.
 
-    Team i is the subset of grid rows selected by the bits of i, so the
-    lowest refuting index is also the canonical first refuter.  Bitmaps
-    are keyed by normal form: satisfaction is insensitive to attribute
-    order, duplicates, and published/protected overlap.
+    The grid holds every assignment of ``domain`` values to ``arity``
+    sorted attribute positions, in ``itertools.product`` order.  Team i
+    selects grid row j iff bit j of i is set, so a bitmap has one bit per
+    team (2^g bits for g rows) and the lowest refuting index is also the
+    canonical first refuter.  No team is built to fill a bitmap:
+
+    * ``R_j``, the teams containing row j, is the periodic pattern of 2^j
+      clear bits then 2^j set bits.
+    * A team satisfies ``x Yk y`` iff every published-key group of grid
+      rows shows 0 or at least k distinct protected values among the rows
+      it selects.  Per group, the OR of the ``R_j`` of the rows carrying
+      one protected value is the set of teams showing that value; an
+      at-least-t counter over those masks, t = 1..k, gives the teams
+      showing at least k of them, and the group's mask is
+      ``not (>= 1) or (>= k)``.
+    * The atom's mask is the AND over groups; k = 1 gives every team.
+
+    Masks are keyed by positional normal form: the published and the
+    protected index sets (shared positions cancel from the protected
+    side) and k clamped to g + 1, since no group shows more than g values.
+    Keys over one shape are therefore finite: 3^arity sides times g + 1
+    multiplicities.
     """
 
-    def __init__(self, attributes: tuple[str, ...], domain: tuple[str, ...]):
-        self.schema = Schema(attributes)
-        self.grid = [
-            tuple(cells) for cells in itertools.product(domain, repeat=len(attributes))
-        ]
+    def __init__(self, arity: int, domain: tuple[str, ...]):
+        self.grid = list(itertools.product(domain, repeat=arity))
         self.count = 1 << len(self.grid)
-        self.teams = [
-            Team(self.schema, frozenset(itertools.compress(self.grid, _bits(i, len(self.grid)))))
-            for i in range(self.count)
-        ]
-        self._masks: dict[NormalAtom, int] = {}
+        self.every_team = (1 << self.count) - 1
+        self._containing = [self._teams_containing(j) for j in range(len(self.grid))]
+        self._masks: dict[tuple[frozenset[int], frozenset[int], int], int] = {}
 
-    def mask(self, atom: Atom) -> int:
-        key = normalize(atom)
+    def _teams_containing(self, row: int) -> int:
+        """``R_row``: one period, 2^row clear bits then 2^row set bits,
+        times the integer with bit 0 of every period set."""
+        half = 1 << row
+        period = (1 << 2 * half) - 1
+        return (((1 << half) - 1) << half) * (self.every_team // period)
+
+    def mask(self, atom: Atom, attributes: Sequence[str]) -> int:
+        """The teams satisfying ``atom``, whose attributes sit at their
+        positions in ``attributes``."""
+        published = frozenset(attributes.index(a) for a in atom.published)
+        protected = frozenset(attributes.index(a) for a in atom.protected) - published
+        key = (published, protected, min(atom.k, len(self.grid) + 1))
         cached = self._masks.get(key)
         if cached is None:
-            cached = 0
-            for i, team in enumerate(self.teams):
-                if satisfies(team, atom):
-                    cached |= 1 << i
-            self._masks[key] = cached
+            cached = self._masks[key] = self._build(*key)
         return cached
 
+    def _build(self, published: frozenset[int], protected: frozenset[int], k: int) -> int:
+        groups: dict[tuple[str, ...], dict[tuple[str, ...], int]] = defaultdict(dict)
+        for row, containing in zip(self.grid, self._containing):
+            values = groups[tuple(row[i] for i in published)]
+            value = tuple(row[i] for i in protected)
+            values[value] = values.get(value, 0) | containing
+        mask = self.every_team
+        for values in groups.values():
+            at_least = [self.every_team] + [0] * k  # at_least[t]: teams showing >= t values
+            for showing in values.values():
+                for t in range(k, 0, -1):
+                    at_least[t] |= at_least[t - 1] & showing
+            mask &= ~at_least[1] | at_least[k]
+        return mask
 
-def _bits(value: int, width: int) -> list[bool]:
-    return [bool(value >> j & 1) for j in range(width)]
+    def team(self, attributes: tuple[str, ...], index: int) -> Team:
+        """Team ``index`` over this grid, with ``attributes`` as its schema."""
+        rows = (row for j, row in enumerate(self.grid) if index >> j & 1)
+        return Team(Schema(attributes), frozenset(rows))
 
 
-_grid_caches: dict[tuple[tuple[str, ...], tuple[str, ...]], _GridCache] = {}
+_grid_caches: dict[tuple[int, tuple[str, ...]], _GridCache] = {}
 
 
-def _cache_for(attributes: tuple[str, ...], domain: tuple[str, ...]) -> _GridCache:
-    key = (attributes, domain)
+def _cache_for(arity: int, domain: tuple[str, ...]) -> _GridCache:
+    key = (arity, domain)
     if key not in _grid_caches:
-        _grid_caches[key] = _GridCache(attributes, domain)
+        _grid_caches[key] = _GridCache(arity, domain)
     return _grid_caches[key]
 
 
@@ -161,16 +204,15 @@ def semantic_entails(sigma: AtomSet, goal: Atom, cfg: OracleConfig) -> OracleRes
                 f"exhaustive mode over {len(attrs)} attributes and {len(domain)} values "
                 f"exceeds the 2^{_MAX_GRID}-team limit"
             )
-        cache = _cache_for(attrs, domain)
-        every_team = (1 << cache.count) - 1
-        sigma_mask = every_team
+        cache = _cache_for(len(attrs), domain)
+        sigma_mask = cache.every_team
         for hyp in sigma.atoms:
-            sigma_mask &= cache.mask(hyp)
-        refuting = sigma_mask & ~cache.mask(goal) & every_team
+            sigma_mask &= cache.mask(hyp, attrs)
+        refuting = sigma_mask & ~cache.mask(goal, attrs)
         checked += cache.count
         if refuting:
             index = (refuting & -refuting).bit_length() - 1
-            return OracleResult(OracleStatus.REFUTED, cache.teams[index], checked)
+            return OracleResult(OracleStatus.REFUTED, cache.team(attrs, index), checked)
         largest = max((a.k for a in (*sigma.atoms, goal)), default=2)
         if largest > 2 and cfg.domain_size < largest + 1:
             return OracleResult(OracleStatus.UNKNOWN, None, checked)

@@ -286,6 +286,7 @@ class TestOracle:
         )
         assert code == 0
         assert doc["status"] == "entailed"
+        assert doc["teams_checked"] == 65536
 
     def test_random_mode_unknown(self, capsys, tmp_path):
         sigma_path = tmp_path / "s.txt"

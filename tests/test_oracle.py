@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,11 +9,14 @@ from anonatom import (
     ConfigError,
     OracleConfig,
     OracleStatus,
+    Team,
     entails_k_simple,
     random_team,
     satisfies,
     semantic_entails,
 )
+from anonatom import oracle
+from anonatom.countermodel import candidate_teams
 
 
 def atom(pub, prot, k=2):
@@ -24,6 +28,40 @@ CFG2 = OracleConfig(domain_size=2, attribute_limit=3)
 
 def refutes(team, sigma, goal):
     return all(satisfies(team, h) for h in sigma.atoms) and not satisfies(team, goal)
+
+
+def lattice(attrs, domain):
+    """Every team over the grid, materialized: team i holds grid row j iff
+    bit j of i is set."""
+    grid = list(itertools.product(domain, repeat=len(attrs)))
+    return [
+        Team.of(attrs, itertools.compress(grid, [i >> j & 1 for j in range(len(grid))]))
+        for i in range(1 << len(grid))
+    ]
+
+
+def brute_force_mask(teams, atom):
+    """Reference bitmap: bit i is set iff ``satisfies`` accepts team i."""
+    return sum(1 << i for i, team in enumerate(teams) if satisfies(team, atom))
+
+
+def normal_atoms(attrs, ks):
+    """Every atom with disjoint published and protected sides over ``attrs``."""
+    for sides in itertools.product((0, 1, 2), repeat=len(attrs)):
+        published = tuple(a for a, side in zip(attrs, sides) if side == 1)
+        protected = tuple(a for a, side in zip(attrs, sides) if side == 2)
+        for k in ks:
+            yield Atom(published, protected, k)
+
+
+# refuted only by the grid: no candidate construction applies
+GRID_REFUTED = [
+    (AtomSet.of(atom("c", "ab", 3), atom("c", "b")), atom("a", "cb")),
+    (AtomSet.of(atom("b", "ac", 3), atom("", "ba")), atom("ca", "b")),
+    (AtomSet.of(atom("a", "c"), atom("", "ca", 3)), atom("b", "ca")),
+    (AtomSet.of(atom("b", "c"), atom("c", "ba", 3)), atom("bc", "a")),
+    (AtomSet.of(atom("b", "a"), atom("b", "ac")), atom("cb", "a", 3)),
+]
 
 
 class TestConfig:
@@ -131,6 +169,63 @@ class TestExhaustive:
             assert (oracle.status is OracleStatus.REFUTED) == (not engine.derivable)
             if oracle.status is OracleStatus.ENTAILED:
                 assert engine.derivable
+
+
+class TestBitmaps:
+    @pytest.mark.parametrize("attrs, domain", [(("a", "b"), ("0", "1", "2")), (("a", "b", "c"), ("0", "1"))])
+    def test_every_normal_atom_matches_brute_force(self, attrs, domain):
+        cache = oracle._GridCache(len(attrs), domain)
+        teams = lattice(attrs, domain)
+        g = len(cache.grid)
+        for a in normal_atoms(attrs, range(1, g + 3)):
+            assert cache.mask(a, attrs) == brute_force_mask(teams, a), a
+
+    def test_sampled_atoms_at_four_attributes(self):
+        attrs, domain = ("a", "b", "c", "d"), ("0", "1")
+        cache = oracle._GridCache(len(attrs), domain)
+        teams = lattice(attrs, domain)
+        rng = random.Random(6)
+        for _ in range(3):
+            # overlapping sides too: shared attributes cancel from the protected side
+            a = Atom(
+                tuple(rng.sample(attrs, rng.randint(0, 2))),
+                tuple(rng.sample(attrs, rng.randint(2, 3))),
+                rng.randint(2, 4),
+            )
+            assert cache.mask(a, attrs) == brute_force_mask(teams, a), a
+
+    def test_cache_keyed_by_shape(self):
+        oracle._grid_caches.clear()
+        first_sigma, first_goal = GRID_REFUTED[0]
+        second_sigma = AtomSet.of(atom("r", "pq", 3), atom("r", "q"))
+        first = semantic_entails(first_sigma, first_goal, CFG2)
+        cache = oracle._grid_caches[(3, ("0", "1"))]
+        masks = len(cache._masks)
+        second = semantic_entails(second_sigma, atom("p", "rq"), CFG2)
+        assert list(oracle._grid_caches) == [(3, ("0", "1"))]
+        assert len(cache._masks) == masks
+        assert first.refuter.schema.attributes == ("a", "b", "c")
+        assert second.refuter.schema.attributes == ("p", "q", "r")
+        assert first.refuter.rows == second.refuter.rows
+        assert refutes(second.refuter, second_sigma, atom("p", "rq"))
+
+    def test_multiplicity_clamped_past_the_grid(self):
+        attrs = ("a", "b")
+        cache = oracle._GridCache(len(attrs), ("0", "1"))
+        assert cache.mask(atom("a", "b", 5), attrs) == cache.mask(atom("a", "b", 50), attrs)
+        assert len(cache._masks) == 1
+
+
+class TestCanonicalRefuter:
+    @pytest.mark.parametrize("sigma, goal", GRID_REFUTED)
+    def test_lowest_index_refuter_and_count(self, sigma, goal):
+        attrs = tuple(sorted(sigma.attributes | goal.attributes()))
+        first = next(team for team in lattice(attrs, ("0", "1")) if refutes(team, sigma, goal))
+        result = semantic_entails(sigma, goal, CFG2)
+        assert result.status is OracleStatus.REFUTED
+        assert result.refuter == first
+        candidates = len(list(candidate_teams(sigma, goal)))
+        assert result.teams_checked == candidates + 256
 
 
 class TestRandomMode:
