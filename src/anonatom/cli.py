@@ -33,10 +33,10 @@ EXIT_ERROR = 2
 EXIT_UNKNOWN = 3
 
 _ENTAIL_MODES = {
-    "upsilon": "anonymity",
-    "anonymity": "anonymity",
-    "k-simple": "k-simple",
-    "k-saturate": "k-saturate",
+    "upsilon": entails_anonymity,
+    "anonymity": entails_anonymity,
+    "k-simple": entails_k_simple,
+    "k-saturate": entails_k_saturate,
 }
 
 
@@ -211,13 +211,7 @@ def _cmd_audit(args) -> int:
 def _cmd_entail(args) -> int:
     sigma = load_sigma_file(args.sigma)
     goal = parse_atom(args.goal)
-    mode = _ENTAIL_MODES[args.mode]
-    if mode == "anonymity":
-        result = entails_anonymity(sigma, goal)
-    elif mode == "k-simple":
-        result = entails_k_simple(sigma, goal)
-    else:
-        result = entails_k_saturate(sigma, goal)
+    result = _ENTAIL_MODES[args.mode](sigma, goal)
     document = {
         "tool": "anonatom",
         "version": __version__,

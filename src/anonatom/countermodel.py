@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 
 from .atoms import Atom, satisfies
 from .errors import FragmentError, ResourceError, VerificationError
-from .inference import AtomSet, normalize, universe
+from .inference import AtomSet, _inconsistent_member, _subsuming, normalize, universe
 from .team import Schema, Team
 
 CONSTRUCTION_TERNARY = "ternary-grid"
@@ -59,16 +59,25 @@ def verify_countermodel(report: CountermodelReport, sigma: AtomSet, goal: Atom) 
     return all(satisfies(team, hyp) for hyp in sigma.atoms) and not satisfies(team, goal)
 
 
+def _report(
+    team: Team, sigma: AtomSet, goal: Atom, domain_size: int, construction: str
+) -> CountermodelReport | None:
+    """The report for ``team`` if it satisfies ``sigma`` and fails ``goal``."""
+    status = tuple((hyp, True) for hyp in sigma.atoms)
+    report = CountermodelReport(team, status, goal, domain_size, construction)
+    return report if verify_countermodel(report, sigma, goal) else None
+
+
 def _checked_report(
     team: Team, sigma: AtomSet, goal: Atom, domain_size: int, construction: str
 ) -> CountermodelReport:
-    hypothesis_status = tuple((hyp, satisfies(team, hyp)) for hyp in sigma.atoms)
-    if not all(ok for _, ok in hypothesis_status) or satisfies(team, goal):
+    report = _report(team, sigma, goal, domain_size, construction)
+    if report is None:
         raise VerificationError(
             f"{construction} construction failed verification for goal {goal} "
             f"(is the goal actually derivable from the hypotheses?)"
         )
-    return CountermodelReport(team, hypothesis_status, goal, domain_size, construction)
+    return report
 
 
 def _grid_team(
@@ -158,15 +167,15 @@ def build_k_anonymity_countermodel(
         )
     # guard the documented precondition (a non-derivable instance): when the
     # goal follows from the hypotheses no truncation can ever verify
-    for hyp in sigma.atoms:
-        h = normalize(hyp)
-        if not h.protected and hyp.k >= 2:
-            raise ValueError(
-                f"hypotheses are inconsistent ({hyp} holds on the empty team only); "
-                "every goal is derivable, nothing to refute"
-            )
-        if g.published <= h.published and h.protected == g.protected and hyp.k >= goal.k:
-            raise ValueError(f"{hyp} subsumes the goal; the entailment holds, nothing to refute")
+    bad = _inconsistent_member(sigma)
+    if bad is not None:
+        raise ValueError(
+            f"hypotheses are inconsistent ({bad} holds on the empty team only); "
+            "every goal is derivable, nothing to refute"
+        )
+    hyp = _subsuming(sigma, goal)
+    if hyp is not None:
+        raise ValueError(f"{hyp} subsumes the goal; the entailment holds, nothing to refute")
     attrs = universe(sigma, goal)
     max_mult = max((a.k for a in sigma.atoms), default=1)
     domain = max(3, goal.k + max(1, max_mult))
@@ -176,8 +185,9 @@ def build_k_anonymity_countermodel(
                 f"domain {domain} over {len(attrs)} attributes exceeds {max_rows} rows"
             )
         team = _grid_team(attrs, domain, g.published, g.protected, goal.k - 2)
-        if all(satisfies(team, hyp) for hyp in sigma.atoms) and not satisfies(team, goal):
-            return _checked_report(team, sigma, goal, domain, CONSTRUCTION_TRUNCATED)
+        report = _report(team, sigma, goal, domain, CONSTRUCTION_TRUNCATED)
+        if report is not None:
+            return report
         domain += 1
     raise ResourceError(
         f"no refuting truncation found up to domain size {max_domain} for goal {goal}"
@@ -209,7 +219,7 @@ def witness_report(team: Team, sigma: AtomSet, goal: Atom) -> CountermodelReport
 
 
 def candidate_teams(sigma: AtomSet, goal: Atom) -> Iterator[tuple[str, Team]]:
-    """Unverified candidate refuters for the oracle to test.
+    """Refuters from the constructions that apply, each verified by its builder.
 
     The constructions are complete refuters on their fragments, so an
     oracle that tries them before enumerating never misses a refutation;

@@ -3,14 +3,13 @@
 Hypotheses and goals are ``Atom`` values; entailment questions are asked
 against an ``AtomSet``.  Three engines cover three fragments:
 
-* ``entails_anonymity`` decides the plain (k = 2) fragment completely.
-  The decision rule is subsumption after normalization: a goal follows
-  exactly when some hypothesis publishes at least the goal's attributes
-  and protects a subset of the goal's protected attributes, or when the
-  hypothesis set is inconsistent.
-* ``entails_k_simple`` decides the fragment where every protected side
-  is a single attribute, additionally requiring the hypothesis
-  multiplicity to be at least the goal's.
+* ``entails_anonymity`` (the plain, k = 2 fragment) and
+  ``entails_k_simple`` (one protected attribute, any k) decide their
+  fragments completely by one rule: a goal follows exactly when it is
+  trivial (k = 1), the hypothesis set is inconsistent, or, after
+  normalization, some hypothesis publishes at least the goal's
+  attributes, protects a subset of its protected attributes, and has at
+  least its multiplicity.
 * ``entails_k_saturate`` is a sound saturation for arbitrary k-atoms.
   It closes the hypothesis set under the axioms (permutation and
   cancellation are absorbed into normal forms, weakening moves shrink
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .atoms import Atom
 from .errors import FragmentError, ResourceError
@@ -191,25 +190,67 @@ def _ex_falso(goal: Atom, bad: Atom) -> Derivation:
     return Derivation(Rule.EX_FALSO, goal, (Derivation(Rule.HYPOTHESIS, bad),))
 
 
+def _restate(node: Derivation, goal: Atom) -> Derivation:
+    """``node`` extended to conclude ``goal``: by a pure permutation when
+    nothing changes set-wise, otherwise by weakening."""
+    c = node.conclusion
+    if c == goal:
+        return node
+    same = set(c.published) == set(goal.published) and set(c.protected) == set(goal.protected)
+    rule = Rule.PERMUTATION if same and c.k == goal.k else Rule.MONOTONICITY
+    return Derivation(rule, goal, (node,))
+
+
 def _weakening(hyp: Atom, goal: Atom) -> Derivation:
     """Derivation of ``goal`` from a subsuming hypothesis: cancellation
-    first if shared attributes must go, then weakening (or a pure
-    permutation when nothing changes set-wise)."""
+    first if shared attributes must go, then ``_restate``."""
     node = Derivation(Rule.HYPOTHESIS, hyp)
-    current = hyp
-    pub_set = set(current.published)
-    cancelled = tuple(a for a in current.protected if a not in pub_set)
-    if cancelled != current.protected:
-        current = Atom(current.published, cancelled, current.k)
-        node = Derivation(Rule.CANCELLATION, current, (node,))
-    if current != goal:
-        same_sets = (
-            set(current.published) == set(goal.published)
-            and set(current.protected) == set(goal.protected)
-            and current.k == goal.k
-        )
-        node = Derivation(Rule.PERMUTATION if same_sets else Rule.MONOTONICITY, goal, (node,))
-    return node
+    pub_set = set(hyp.published)
+    cancelled = tuple(a for a in hyp.protected if a not in pub_set)
+    if cancelled != hyp.protected:
+        node = Derivation(Rule.CANCELLATION, Atom(hyp.published, cancelled, hyp.k), (node,))
+    return _restate(node, goal)
+
+
+def _settled(sigma: AtomSet, goal: Atom) -> Entailment | None:
+    """The answer every engine gives before looking further: k = 1 goals
+    hold trivially, and an inconsistent hypothesis set derives anything."""
+    if goal.k == 1:
+        return Entailment(Verdict.DERIVABLE, derivation=Derivation(Rule.K1_TRIVIAL, goal))
+    bad = _inconsistent_member(sigma)
+    if bad is not None:
+        return Entailment(Verdict.DERIVABLE, derivation=_ex_falso(goal, bad))
+    return None
+
+
+def _subsuming(sigma: AtomSet, goal: Atom) -> Atom | None:
+    """The first hypothesis subsuming ``goal`` after normalization."""
+    g = normalize(goal)
+    for hyp in sigma.atoms:
+        h = normalize(hyp)
+        if g.published <= h.published and h.protected <= g.protected and h.k >= g.k:
+            return hyp
+    return None
+
+
+def _decide(
+    sigma: AtomSet, goal: Atom, refute: Callable[[AtomSet, Atom], "CountermodelReport"]
+) -> Entailment:
+    """The complete decision shared by the plain and the simple fragment.
+    The full grid refutes a goal that protects nothing after cancellation
+    (no hypothesis of a consistent set subsumes one); the fragment's
+    construction ``refute`` refutes the rest."""
+    settled = _settled(sigma, goal)
+    if settled is not None:
+        return settled
+    hyp = _subsuming(sigma, goal)
+    if hyp is not None:
+        return Entailment(Verdict.DERIVABLE, derivation=_weakening(hyp, goal))
+    from .countermodel import build_full_grid_countermodel  # deferred: it imports this module
+
+    if not normalize(goal).protected:
+        refute = build_full_grid_countermodel
+    return Entailment(Verdict.NOT_DERIVABLE, countermodel=refute(sigma, goal))
 
 
 def entails_anonymity(sigma: AtomSet, goal: Atom) -> Entailment:
@@ -228,54 +269,22 @@ def entails_anonymity(sigma: AtomSet, goal: Atom) -> Entailment:
                 f"hypothesis {atom} has multiplicity {atom.k}; "
                 "use entails_k_simple or entails_k_saturate"
             )
-    from . import countermodel  # deferred: countermodel imports this module
+    from .countermodel import build_anonymity_countermodel
 
-    bad = _inconsistent_member(sigma)
-    if bad is not None:
-        return Entailment(Verdict.DERIVABLE, derivation=_ex_falso(goal, bad))
-    g = normalize(goal)
-    if not g.protected:
-        report = countermodel.build_full_grid_countermodel(sigma, goal)
-        return Entailment(Verdict.NOT_DERIVABLE, countermodel=report)
-    for hyp in sigma.atoms:
-        h = normalize(hyp)
-        if g.published <= h.published and h.protected <= g.protected:
-            return Entailment(Verdict.DERIVABLE, derivation=_weakening(hyp, goal))
-    report = countermodel.build_anonymity_countermodel(sigma, goal)
-    return Entailment(Verdict.NOT_DERIVABLE, countermodel=report)
+    return _decide(sigma, goal, build_anonymity_countermodel)
 
 
 def entails_k_simple(sigma: AtomSet, goal: Atom) -> Entailment:
     """Decide entailment for simple atoms (single protected attribute,
-    arbitrary multiplicities).
-
-    A goal follows exactly when it is trivial (k = 1), the hypotheses
-    are inconsistent, or some hypothesis publishes at least the goal's
-    attributes, protects the same attribute, and has multiplicity >= the
-    goal's.
-    """
+    arbitrary multiplicities)."""
     for atom in (*sigma.atoms, goal):
         if not atom.is_simple:
             raise FragmentError(
                 f"{atom} is not simple (one protected attribute); use entails_k_saturate"
             )
-    from . import countermodel
+    from .countermodel import build_k_anonymity_countermodel
 
-    if goal.k == 1:
-        return Entailment(Verdict.DERIVABLE, derivation=Derivation(Rule.K1_TRIVIAL, goal))
-    bad = _inconsistent_member(sigma)
-    if bad is not None:
-        return Entailment(Verdict.DERIVABLE, derivation=_ex_falso(goal, bad))
-    g = normalize(goal)
-    if not g.protected:
-        report = countermodel.build_full_grid_countermodel(sigma, goal)
-        return Entailment(Verdict.NOT_DERIVABLE, countermodel=report)
-    for hyp in sigma.atoms:
-        h = normalize(hyp)
-        if g.published <= h.published and h.protected == g.protected and hyp.k >= goal.k:
-            return Entailment(Verdict.DERIVABLE, derivation=_weakening(hyp, goal))
-    report = countermodel.build_k_anonymity_countermodel(sigma, goal)
-    return Entailment(Verdict.NOT_DERIVABLE, countermodel=report)
+    return _decide(sigma, goal, build_k_anonymity_countermodel)
 
 
 # Saturation bookkeeping: per (published, protected) pair we keep the best
@@ -283,10 +292,6 @@ def entails_k_simple(sigma: AtomSet, goal: Atom) -> Entailment:
 # and, per reached triple, how it was derived.
 _Key = tuple[frozenset[str], frozenset[str]]
 _Triple = tuple[frozenset[str], frozenset[str], int]
-
-# Trivially-true k = 1 atoms are seeded as composition fodder only while
-# the universe stays small enough to enumerate the 3^|W| disjoint pairs.
-_K1_SEED_LIMIT = 6561
 
 
 class _Saturation:
@@ -346,8 +351,6 @@ class _Saturation:
         conclusion = atom_from_normal(NormalAtom(*triple))
         if proof[0] == "hyp":
             return _weakening(proof[1], conclusion)
-        if proof[0] == "k1":
-            return Derivation(Rule.K1_TRIVIAL, conclusion)
         if proof[0] == "A2":
             return Derivation(Rule.MONOTONICITY, conclusion, (self.rebuild(proof[1]),))
         first = self.rebuild(proof[1])
@@ -364,50 +367,34 @@ def entails_k_saturate(sigma: AtomSet, goal: Atom, *, max_steps: int = 100_000) 
     """Sound saturation for arbitrary k-atoms: Derivable with a proof tree
     when the closure reaches the goal, otherwise Unknown with the
     saturated normal-atom set.  Never claims NotDerivable.
+
+    Goals with k = 1 are settled up front and no ``Y1`` atom, not even a
+    hypothesis, enters the closure: composing with a ``Y1`` link reaches
+    nothing that weakening (A2) does not reach from the other link.
+
+    * ``x Y1 y`` then ``xy Yk z`` concludes ``x Yk yz``: from ``xy Yk z``,
+      drop ``y`` from the published side and re-add it as protected.
+    * ``x Yk y`` then ``xy Y1 z`` concludes the same ``x Yk yz``: from
+      ``x Yk y``, extend the protected side by ``z``.
     """
-    if goal.k == 1:
-        return Entailment(Verdict.DERIVABLE, derivation=Derivation(Rule.K1_TRIVIAL, goal))
-    bad = _inconsistent_member(sigma)
-    if bad is not None:
-        return Entailment(Verdict.DERIVABLE, derivation=_ex_falso(goal, bad))
+    settled = _settled(sigma, goal)
+    if settled is not None:
+        return settled
 
     sat = _Saturation(sigma, goal, max_steps)
     for hyp in sigma.atoms:
         norm = normalize(hyp)
-        sat.offer((norm.published, norm.protected), norm.k, ("hyp", hyp))
-    if 3 ** len(sat.attrs) <= _K1_SEED_LIMIT:
-        for pub, prot in _disjoint_pairs(sat.attrs):
-            sat.offer((pub, prot), 1, ("k1",))
+        if norm.k > 1:
+            sat.offer((norm.published, norm.protected), norm.k, ("hyp", hyp))
     sat.run()
 
     g = normalize(goal)
     key = (g.published, g.protected)
     saturated = frozenset(NormalAtom(p, r, k) for (p, r), k in sat.best.items())
     if sat.best.get(key, 0) >= goal.k:
-        triple = (g.published, g.protected, sat.best[key])
-        node = sat.rebuild(triple)
-        if node.conclusion != goal:
-            same_sets = set(goal.published) == set(node.conclusion.published) and set(
-                goal.protected
-            ) == set(node.conclusion.protected)
-            rule = Rule.PERMUTATION if same_sets and goal.k == node.conclusion.k else Rule.MONOTONICITY
-            node = Derivation(rule, goal, (node,))
+        node = _restate(sat.rebuild((g.published, g.protected, sat.best[key])), goal)
         return Entailment(Verdict.DERIVABLE, derivation=node, saturated=saturated)
     return Entailment(Verdict.UNKNOWN, saturated=saturated)
-
-
-def _disjoint_pairs(attrs: frozenset[str]):
-    names = sorted(attrs)
-    for mask in range(3 ** len(names)):
-        pub, prot = set(), set()
-        m = mask
-        for name in names:
-            m, r = divmod(m, 3)
-            if r == 1:
-                pub.add(name)
-            elif r == 2:
-                prot.add(name)
-        yield frozenset(pub), frozenset(prot)
 
 
 def explain_derivation(derivation: Derivation, sigma: AtomSet) -> str | None:

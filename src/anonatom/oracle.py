@@ -1,10 +1,11 @@
 """Brute-force semantic entailment and reproducible random teams.
 
 ``semantic_entails`` decides entailment the slow, trustworthy way: it
-first tests the explicit countermodel constructions as candidate
-refuters (they are complete refuters on their fragments, which matters
-because some non-entailed claims have no refuter over a two-valued
-domain), then checks every team over a small value domain or samples
+first tries the explicit countermodel constructions, whose builders
+verify their output, and returns the first one built as the refuter
+(they are complete refuters on their fragments, which matters because
+some non-entailed claims have no refuter over a two-valued domain);
+otherwise it checks every team over a small value domain or samples
 some.
 
 Exhaustive mode builds no team to check them: per atom it computes one
@@ -184,13 +185,10 @@ def _refutes(team: Team, sigma: AtomSet, goal: Atom) -> bool:
 
 def semantic_entails(sigma: AtomSet, goal: Atom, cfg: OracleConfig) -> OracleResult:
     """Search for a team satisfying the hypotheses but not the goal."""
+    candidate = next(candidate_teams(sigma, goal), None)
+    if candidate is not None:  # verified by its builder: it refutes
+        return OracleResult(OracleStatus.REFUTED, candidate[1], 1)
     attrs = tuple(sorted(universe(sigma, goal)))
-    checked = 0
-    for _, team in candidate_teams(sigma, goal):
-        checked += 1
-        if _refutes(team, sigma, goal):
-            return OracleResult(OracleStatus.REFUTED, team, checked)
-
     if len(attrs) > cfg.attribute_limit:
         raise ConfigError(
             f"instance mentions {len(attrs)} attributes but the configured limit is "
@@ -209,20 +207,18 @@ def semantic_entails(sigma: AtomSet, goal: Atom, cfg: OracleConfig) -> OracleRes
         for hyp in sigma.atoms:
             sigma_mask &= cache.mask(hyp, attrs)
         refuting = sigma_mask & ~cache.mask(goal, attrs)
-        checked += cache.count
         if refuting:
             index = (refuting & -refuting).bit_length() - 1
-            return OracleResult(OracleStatus.REFUTED, cache.team(attrs, index), checked)
+            return OracleResult(OracleStatus.REFUTED, cache.team(attrs, index), cache.count)
         largest = max((a.k for a in (*sigma.atoms, goal)), default=2)
         if largest > 2 and cfg.domain_size < largest + 1:
-            return OracleResult(OracleStatus.UNKNOWN, None, checked)
-        return OracleResult(OracleStatus.ENTAILED, None, checked)
+            return OracleResult(OracleStatus.UNKNOWN, None, cache.count)
+        return OracleResult(OracleStatus.ENTAILED, None, cache.count)
 
     rng = random.Random(cfg.seed)
     budget = min(16, len(domain) ** len(attrs)) if attrs else 1
-    for _ in range(cfg.samples):
+    for checked in range(1, cfg.samples + 1):
         team = random_team(attrs, domain, budget, rng.randrange(2**32))
-        checked += 1
         if _refutes(team, sigma, goal):
             return OracleResult(OracleStatus.REFUTED, team, checked)
-    return OracleResult(OracleStatus.UNKNOWN, None, checked)
+    return OracleResult(OracleStatus.UNKNOWN, None, cfg.samples)

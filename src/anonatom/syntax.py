@@ -173,11 +173,16 @@ class _Lexer:
 
 _ATOM_KEYWORDS = ("dep", "inc", "ind", "anon")
 
+# Parentheses, ``exists`` and ``->`` recurse here and in the evaluator;
+# the cap keeps both far below Python's recursion limit.
+_MAX_NESTING = 100
+
 
 class _FormulaParser:
     def __init__(self, text: str):
         self.tokens = _Lexer(text).tokens
         self.pos = 0
+        self.depth = 0
 
     def _peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -205,12 +210,16 @@ class _FormulaParser:
         return formula
 
     def _formula(self) -> Formula:
-        left = self._conjunction()
+        if self.depth == _MAX_NESTING:
+            raise self._error(f"formula nested deeper than {_MAX_NESTING} levels", self._peek())
+        self.depth += 1
+        formula = self._conjunction()
         if self._peek()[1] == "->":
             self._take()
             body = self._formula()
-            return ImplNode(self._as_guard(left), body)
-        return left
+            formula = ImplNode(self._as_guard(formula), body)
+        self.depth -= 1
+        return formula
 
     def _as_guard(self, formula: Formula) -> tuple[LiteralNode, ...]:
         if isinstance(formula, LiteralNode):

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from anonatom import (
     AtomSet,
@@ -118,6 +122,13 @@ class TestCheck:
             ["check", "--team", census_csv, "--atom", "x Y y", "--formula", 'a = "0"']
         )
         assert code == 2
+
+    def test_deeply_nested_formula_is_a_parse_error(self, capsys, census_csv):
+        formula = "(" * 5000 + 'surname = "Jones"' + ")" * 5000
+        code, doc = run_json(capsys, "check", "--team", census_csv, "--formula", formula)
+        assert code == 2
+        assert doc["error"]["kind"] == "ParseError"
+        assert "nested" in doc["error"]["message"]
 
     def test_pretty(self, capsys, census_csv):
         code, out = run(
@@ -321,3 +332,78 @@ class TestErrorRecords:
         code = main(["--version"])
         assert code == 0
         assert "anonatom" in capsys.readouterr().out
+
+
+# Text that is well-formed, malformed or nonsense for the atom and formula
+# grammars, with odd multiplicities and stray characters.  At most a handful
+# of attribute names keeps every instance small.
+_NOISE = st.lists(
+    st.one_of(
+        st.sampled_from(
+            ("a", "b", "Y", "Y0", "(", ")", "&", "->", ";", "=", "!=", '"1"', '"', "\\", "#",
+             "exists", "dep", "anon", "2", "\n")
+        ),
+        st.characters(exclude_categories=("Cs",)),
+    ),
+    max_size=5,
+).map(" ".join)
+_NAMES = st.lists(st.sampled_from("abcd"), min_size=1, max_size=3).map(" ".join)
+_ATOM = st.builds(
+    "{} {} {}".format, _NAMES, st.sampled_from(("Y", "Y1", "Y3", "Y99999999999999999999")), _NAMES
+)
+_FORMULA = st.recursive(
+    st.one_of(
+        st.builds(
+            '{} {} "{}"'.format,
+            st.sampled_from("abd"),
+            st.sampled_from(("=", "!=")),
+            st.sampled_from("01"),
+        ),
+        st.builds("anon({} ; {} ; {})".format, st.sampled_from("123"), _NAMES, _NAMES),
+        st.builds("dep({} ; {})".format, _NAMES, _NAMES),
+    ),
+    lambda inner: st.one_of(
+        st.builds("({}) & ({})".format, inner, inner),
+        st.builds('a = "0" -> {}'.format, inner),
+        st.builds("exists e ({})".format, inner),
+    ),
+    max_leaves=4,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    (directory / "team.csv").write_text("a,b,c,d\n0,1,0,1\n1,1,0,0\n", encoding="utf-8")
+    return directory
+
+
+@settings(max_examples=200, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(
+        [
+            ("entail", "--mode=upsilon"),
+            ("entail", "--mode=k-simple"),
+            ("entail", "--mode=k-saturate"),
+            ("oracle", "--attrs=4"),
+            ("check", "--atom"),
+            ("check", "--formula"),
+        ]
+    ),
+    sigma=st.lists(st.one_of(_ATOM, _ATOM, _NOISE), max_size=2).map("\n".join),
+    text=st.one_of(_ATOM, _FORMULA, _NOISE),
+)
+def test_exit_code_contract_holds_for_any_text(fuzz_dir, command, sigma, text):
+    sigma_path = fuzz_dir / "sigma.txt"
+    sigma_path.write_text(sigma, encoding="utf-8")
+    name, option = command
+    if name == "check":
+        argv = [name, f"--team={fuzz_dir / 'team.csv'}", f"{option}={text}"]
+    else:
+        argv = [name, f"--sigma={sigma_path}", f"--goal={text}", option]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # an escaping exception is the traceback the contract forbids
+    assert code in (0, 1, 2, 3)
+    json.loads(out.getvalue())  # exactly one JSON document, nothing around it
+    assert "Traceback" not in err.getvalue()

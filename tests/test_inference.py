@@ -215,21 +215,41 @@ class TestSaturation:
         assert result.derivable
 
     def test_agrees_with_subsumption_on_plain_fragment(self):
-        # saturation (weakening + composition + trivial seeds) proves exactly
-        # the subsumption-derivable plain goals on small universes
+        # saturation (weakening + composition) proves exactly the
+        # subsumption-derivable plain and simple goals on small universes
         attrs = ("a", "b", "c")
         shapes = [atom(pub, prot) for pub, prot in all_normal_shapes(attrs)]
+        published = sorted({pub for pub, _ in all_normal_shapes(attrs)})
+        simple = [atom(pub, p, k) for pub in published for p in attrs for k in (2, 3, 4)]
         rng = random.Random(5)
-        sigmas = [AtomSet.of()]
-        sigmas += [AtomSet.of(s) for s in shapes]
-        sigmas += [AtomSet.of(*rng.sample(shapes, 2)) for _ in range(120)]
-        for sigma in sigmas:
-            for goal in shapes:
-                if not goal.published:
-                    goal = atom((), goal.protected)
-                expected = entails_anonymity(sigma, goal).derivable
-                got = entails_k_saturate(sigma, goal).derivable
-                assert got == expected, (sigma.atoms, goal)
+        for fragment, engine, pool in (
+            (shapes, entails_anonymity, 120),
+            (simple, entails_k_simple, 40),
+        ):
+            sigmas = [AtomSet.of()]
+            sigmas += [AtomSet.of(s) for s in fragment]
+            sigmas += [AtomSet.of(*rng.sample(fragment, 2)) for _ in range(pool)]
+            for sigma in sigmas:
+                for goal in fragment:
+                    expected = engine(sigma, goal).derivable
+                    got = entails_k_saturate(sigma, goal)
+                    assert got.derivable == expected, (sigma.atoms, goal)
+                    if got.derivable:
+                        assert verify_derivation(got.derivation, sigma)
+
+    def test_closure_holds_no_k1_atoms(self):
+        # k = 1 goals are settled up front, so nothing seeds the closure with
+        # the 3^|W| trivially true Y1 atoms, at 8 attributes or any other size
+        names = [f"a{i}" for i in range(6)]
+        result = entails_k_saturate(
+            AtomSet.of(extra_attributes=(*names, "x", "y")), atom("x", "y", 3)
+        )
+        assert result.verdict is Verdict.UNKNOWN
+        assert result.saturated == frozenset()
+        sigma = AtomSet.of(atom("x", "y", 1), atom("x", "z", 3), extra_attributes=names)
+        result = entails_k_saturate(sigma, atom("x", "yz", 6))
+        assert result.verdict is Verdict.UNKNOWN
+        assert result.saturated and all(n.k > 1 for n in result.saturated)
 
 
 class TestVerifyDerivation:
