@@ -288,8 +288,16 @@ def _cmd_oracle(args) -> int:
     return EXIT_UNKNOWN
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors instead of printing usage and exiting, so that
+    they reach ``main``'s JSON error record like every other input error."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="anonatom",
         description="Model-check anonymity atoms over CSV teams, audit anonymity "
         "degrees, and decide implication between anonymity atoms.",
@@ -343,15 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exit_:  # argparse already printed a usage message
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except SystemExit as exit_:  # --help or --version, already printed
         code = exit_.code
         return code if isinstance(code, int) else EXIT_ERROR
-    try:
-        return args.func(args)
-    except (AnonatomError, OSError, ValueError) as exc:
+    except (AnonatomError, OSError, ValueError, argparse.ArgumentError) as exc:
         record = {
             "tool": "anonatom",
             "version": __version__,

@@ -295,14 +295,17 @@ _Triple = tuple[frozenset[str], frozenset[str], int]
 
 
 class _Saturation:
+    # Every walk below follows the sorted universe or insertion order, never
+    # set iteration order, so the proof found does not depend on string
+    # hashing (PYTHONHASHSEED).
     def __init__(self, sigma: AtomSet, goal: Atom, max_steps: int):
         self.cap = goal.k
-        self.attrs = universe(sigma, goal)
+        self.attrs = sorted(universe(sigma, goal))
         self.max_steps = max_steps
         self.best: dict[_Key, int] = {}
         self.proofs: dict[_Triple, tuple] = {}
-        self.by_published: dict[frozenset[str], set[_Key]] = {}
-        self.by_closure: dict[frozenset[str], set[_Key]] = {}
+        self.by_published: dict[frozenset[str], dict[_Key, None]] = {}
+        self.by_closure: dict[frozenset[str], dict[_Key, None]] = {}
         self.queue: list[_Triple] = []
         self.steps = 0
 
@@ -314,8 +317,8 @@ class _Saturation:
         triple = (key[0], key[1], k)
         self.proofs[triple] = proof
         self.queue.append(triple)
-        self.by_published.setdefault(key[0], set()).add(key)
-        self.by_closure.setdefault(key[0] | key[1], set()).add(key)
+        self.by_published.setdefault(key[0], {})[key] = None
+        self.by_closure.setdefault(key[0] | key[1], {})[key] = None
 
     def run(self) -> None:
         while self.queue:
@@ -331,12 +334,13 @@ class _Saturation:
             source = (pub, prot, k)
             # weakening moves: drop a published attribute (optionally
             # re-adding it on the protected side) or extend the protected side
-            for a in pub:
-                smaller = pub - {a}
-                self.offer((smaller, prot), k, ("A2", source))
-                self.offer((smaller, prot | {a}), k, ("A2", source))
-            for w in self.attrs - pub - prot:
-                self.offer((pub, prot | {w}), k, ("A2", source))
+            for a in self.attrs:
+                if a in pub:
+                    smaller = pub - {a}
+                    self.offer((smaller, prot), k, ("A2", source))
+                    self.offer((smaller, prot | {a}), k, ("A2", source))
+                elif a not in prot:
+                    self.offer((pub, prot | {a}), k, ("A2", source))
             # chain composition with this atom as the first link ...
             for key2 in list(self.by_published.get(pub | prot, ())):
                 k2 = self.best[key2]

@@ -185,23 +185,18 @@ def _refutes(team: Team, sigma: AtomSet, goal: Atom) -> bool:
 
 def semantic_entails(sigma: AtomSet, goal: Atom, cfg: OracleConfig) -> OracleResult:
     """Search for a team satisfying the hypotheses but not the goal."""
-    candidate = next(candidate_teams(sigma, goal), None)
-    if candidate is not None:  # verified by its builder: it refutes
-        return OracleResult(OracleStatus.REFUTED, candidate[1], 1)
     attrs = tuple(sorted(universe(sigma, goal)))
     if len(attrs) > cfg.attribute_limit:
         raise ConfigError(
             f"instance mentions {len(attrs)} attributes but the configured limit is "
             f"{cfg.attribute_limit}"
         )
+    candidate = next(candidate_teams(sigma, goal), None)
+    if candidate is not None:  # verified by its builder: it refutes
+        return OracleResult(OracleStatus.REFUTED, candidate[1], 1)
     domain = tuple(str(i) for i in range(cfg.domain_size))
 
-    if cfg.mode == EXHAUSTIVE:
-        if len(domain) ** len(attrs) > _MAX_GRID:
-            raise ConfigError(
-                f"exhaustive mode over {len(attrs)} attributes and {len(domain)} values "
-                f"exceeds the 2^{_MAX_GRID}-team limit"
-            )
+    if cfg.mode == EXHAUSTIVE:  # the config keeps the grid within _MAX_GRID rows
         cache = _cache_for(len(attrs), domain)
         sigma_mask = cache.every_team
         for hyp in sigma.atoms:

@@ -4,6 +4,7 @@ Atoms::
 
     atom  ::= attrs SEP attrs?          # published SEP protected
     SEP   ::= "Y" | "Y" INT             # INT >= 1 is the multiplicity; bare Y means 2
+    INT   ::= [0-9]+                    # ASCII digits, here and in anon(...)
     attrs ::= name+                     # whitespace separated
 
 Hypothesis files hold one atom per line; ``#`` starts a comment.
@@ -20,7 +21,8 @@ Formulas::
               | "anon" "(" INT ";" attrs ";" attrs ")"
               | name ("=" | "!=") (STRING | name)
 
-Strings are double-quoted with backslash escapes for ``\\ " n t r``.
+Strings are double-quoted with backslash escapes for ``\\ " n t r``; a
+string is always a value, never punctuation.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from .inference import AtomSet
 from .teamlogic import AndNode, AtomNode, ExistsNode, Formula, ImplNode, LiteralNode
 from .team import is_valid_attribute_name
 
-_SEPARATOR = re.compile(r"Y([0-9]*)\Z")
+_INT = "[0-9]+"  # multiplicities in both grammars: ASCII digits only
+_SEPARATOR = re.compile(rf"Y({_INT})?\Z")
 
 
 def parse_atom(text: str, *, line: int | None = None) -> Atom:
@@ -47,7 +50,7 @@ def parse_atom(text: str, *, line: int | None = None) -> Atom:
         raise ParseError(f"more than one 'Y' separator in {text.strip()!r}", line=line)
     at = positions[0]
     digits = _SEPARATOR.match(tokens[at]).group(1)  # type: ignore[union-attr]
-    k = 2 if digits == "" else int(digits)
+    k = 2 if digits is None else int(digits)
     if k < 1:
         raise ParseError("multiplicity must be at least 1", line=line)
     published = tokens[:at]
@@ -87,91 +90,59 @@ def format_sigma(sigma: AtomSet) -> str:
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
-_WORD_BREAK = frozenset('()&;="!# \t\n\r\x0b\x0c')
 
 
 def _quote(value: str) -> str:
     return '"' + "".join(_ESCAPES.get(c, c) for c in value) + '"'
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        self._scan()
+# One alternative per token kind, after optional whitespace.  A word runs up
+# to whitespace, a punctuation character, '"', '!' or '#'; a '-' belongs to
+# it unless '>' follows.  Only '!', '"' and '#' start no token: ``error``.
+_OPEN_STRING = re.compile(r'"(?:[^"\\]|\\[' + re.escape("".join(_UNESCAPES)) + "])*")
+_TOKEN = re.compile(
+    rf'\s*(?:(?P<punct>->|!=|[();&=])|(?P<string>{_OPEN_STRING.pattern}")'
+    r'|(?P<word>(?:[^-()&;="!#\s]|-(?!>))+)|(?P<end>\Z)|(?P<error>.))'
+)
+_UNESCAPE = re.compile(r"\\(.)")
 
-    def _error(self, message: str, column: int) -> ParseError:
-        return ParseError(message, column=column + 1)
-
-    def _scan(self) -> None:
-        text = self.text
-        while self.pos < len(text):
-            c = text[self.pos]
-            if c.isspace():
-                self.pos += 1
-                continue
-            start = self.pos
-            if c in "();&":
-                self.tokens.append(("punct", c, start))
-                self.pos += 1
-            elif c == "-":
-                if text.startswith("->", self.pos):
-                    self.tokens.append(("punct", "->", start))
-                    self.pos += 2
-                else:
-                    self._word()
-            elif c == "!":
-                if text.startswith("!=", self.pos):
-                    self.tokens.append(("punct", "!=", start))
-                    self.pos += 2
-                else:
-                    raise self._error("expected '!='", start)
-            elif c == "=":
-                self.tokens.append(("punct", "=", start))
-                self.pos += 1
-            elif c == '"':
-                self._string(start)
-            else:
-                self._word()
-        self.tokens.append(("end", "", len(text)))
-
-    def _string(self, start: int) -> None:
-        out = []
-        i = start + 1
-        text = self.text
-        while i < len(text):
-            c = text[i]
-            if c == '"':
-                self.tokens.append(("string", "".join(out), start))
-                self.pos = i + 1
-                return
-            if c == "\\":
-                if i + 1 >= len(text) or text[i + 1] not in _UNESCAPES:
-                    raise self._error("bad escape sequence in string", i)
-                out.append(_UNESCAPES[text[i + 1]])
-                i += 2
-            else:
-                out.append(c)
-                i += 1
-        raise self._error("unterminated string", start)
-
-    def _word(self) -> None:
-        start = self.pos
-        text = self.text
-        while self.pos < len(text):
-            c = text[self.pos]
-            if c in _WORD_BREAK or c.isspace():
-                break
-            if c == "-" and text.startswith("->", self.pos):
-                break
-            self.pos += 1
-        if self.pos == start:
-            raise self._error(f"unexpected character {text[start]!r}", start)
-        self.tokens.append(("word", text[start : self.pos], start))
+_Token = tuple[str, str, int]
 
 
-_ATOM_KEYWORDS = ("dep", "inc", "ind", "anon")
+def _tokens(text: str) -> list[_Token]:
+    """``(kind, value, offset)`` triples ending with an ``end`` token.  The
+    kind of a punctuation token is its symbol; the others are ``word`` and
+    ``string`` (the value unescaped)."""
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        value, offset = match[kind], match.start(kind)
+        if kind == "error":
+            raise _lex_error(text, offset)
+        if kind == "punct":
+            kind = value
+        elif kind == "string":
+            value = _UNESCAPE.sub(lambda escape: _UNESCAPES[escape[1]], value[1:-1])
+        tokens.append((kind, value, offset))
+        if kind == "end":  # trailing whitespace ends in a second, empty match
+            break
+    return tokens
+
+
+def _lex_error(text: str, at: int) -> ParseError:
+    char = text[at]
+    if char == "!":
+        return ParseError("expected '!='", column=at + 1)
+    if char == '"':
+        stop = _OPEN_STRING.match(text, at).end()  # type: ignore[union-attr]
+        if stop < len(text):  # a backslash starting no valid escape
+            return ParseError("bad escape sequence in string", column=stop + 1)
+        return ParseError("unterminated string", column=at + 1)
+    return ParseError(f"unexpected character {char!r}", column=at + 1)
+
+
+_AUXILIARY_ATOMS = {"dep": DependenceAtom, "inc": InclusionAtom, "ind": IndependenceAtom}
+_ATOM_KEYWORDS = ("anon", *_AUXILIARY_ATOMS)
 
 # Parentheses, ``exists`` and ``->`` recurse here and in the evaluator;
 # the cap keeps both far below Python's recursion limit.
@@ -180,33 +151,33 @@ _MAX_NESTING = 100
 
 class _FormulaParser:
     def __init__(self, text: str):
-        self.tokens = _Lexer(text).tokens
+        self.tokens = _tokens(text)
         self.pos = 0
         self.depth = 0
 
-    def _peek(self) -> tuple[str, str, int]:
+    def _peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def _take(self) -> tuple[str, str, int]:
+    def _take(self) -> _Token:
         token = self.tokens[self.pos]
         self.pos += 1
         return token
 
-    def _error(self, message: str, token: tuple[str, str, int]) -> ParseError:
+    def _error(self, message: str, token: _Token) -> ParseError:
         return ParseError(message, column=token[2] + 1)
 
-    def _expect(self, value: str) -> None:
-        kind, got, col = self._take()
-        if kind == "end":
-            raise ParseError(f"expected {value!r} but input ended", column=col + 1)
-        if got != value:
-            raise ParseError(f"expected {value!r}, got {got!r}", column=col + 1)
+    def _expect(self, kind: str) -> None:
+        token = self._take()
+        if token[0] == "end":
+            raise self._error(f"expected {kind!r} but input ended", token)
+        if token[0] != kind:
+            raise self._error(f"expected {kind!r}, got {token[1]!r}", token)
 
     def parse(self) -> Formula:
         formula = self._formula()
-        kind, got, col = self._peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {got!r}", column=col + 1)
+        token = self._peek()
+        if token[0] != "end":
+            raise self._error(f"unexpected trailing input {token[1]!r}", token)
         return formula
 
     def _formula(self) -> Formula:
@@ -214,7 +185,7 @@ class _FormulaParser:
             raise self._error(f"formula nested deeper than {_MAX_NESTING} levels", self._peek())
         self.depth += 1
         formula = self._conjunction()
-        if self._peek()[1] == "->":
+        if self._peek()[0] == "->":
             self._take()
             body = self._formula()
             formula = ImplNode(self._as_guard(formula), body)
@@ -232,7 +203,7 @@ class _FormulaParser:
 
     def _conjunction(self) -> Formula:
         parts = [self._unit()]
-        while self._peek()[1] == "&":
+        while self._peek()[0] == "&":
             self._take()
             parts.append(self._unit())
         if len(parts) == 1:
@@ -246,8 +217,8 @@ class _FormulaParser:
         return AndNode(tuple(flat))
 
     def _unit(self) -> Formula:
-        kind, value, col = self._peek()
-        if value == "(":
+        kind, value, _ = self._peek()
+        if kind == "(":
             self._take()
             inner = self._formula()
             self._expect(")")
@@ -266,10 +237,10 @@ class _FormulaParser:
         raise self._error(f"expected a formula, got {value!r}", self._peek())
 
     def _name(self) -> str:
-        kind, value, col = self._take()
-        if kind != "word" or not is_valid_attribute_name(value):
-            raise ParseError(f"expected an attribute name, got {value!r}", column=col + 1)
-        return value
+        token = self._take()
+        if token[0] != "word" or not is_valid_attribute_name(token[1]):
+            raise self._error(f"expected an attribute name, got {token[1]!r}", token)
+        return token[1]
 
     def _attrs(self) -> tuple[str, ...]:
         names = [self._name()]
@@ -278,44 +249,36 @@ class _FormulaParser:
         return tuple(names)
 
     def _atom_call(self) -> AtomNode:
-        _, keyword, col = self._take()
+        keyword = self._take()[1]
         self._expect("(")
         if keyword == "anon":
-            kind, digits, kcol = self._take()
-            if kind != "word" or not digits.isdigit():
-                raise ParseError(f"expected a multiplicity, got {digits!r}", column=kcol + 1)
-            k = int(digits)
+            token = self._take()
+            if token[0] != "word" or not re.fullmatch(_INT, token[1]):
+                raise self._error(f"expected a multiplicity, got {token[1]!r}", token)
+            k = int(token[1])
             if k < 1:
-                raise ParseError("multiplicity must be at least 1", column=kcol + 1)
+                raise self._error("multiplicity must be at least 1", token)
             self._expect(";")
-            left = self._attrs()
-            self._expect(";")
-            right = self._attrs()
-            self._expect(")")
-            return AtomNode(Atom(left, right, k))
         left = self._attrs()
         self._expect(";")
         right = self._attrs()
         self._expect(")")
-        if keyword == "dep":
-            return AtomNode(DependenceAtom(left, right))
-        if keyword == "inc":
-            return AtomNode(InclusionAtom(left, right))
-        return AtomNode(IndependenceAtom(left, right))
+        if keyword == "anon":
+            return AtomNode(Atom(left, right, k))
+        return AtomNode(_AUXILIARY_ATOMS[keyword](left, right))
 
     def _literal(self) -> LiteralNode:
         attribute = self._name()
-        kind, op, col = self._take()
-        if op not in ("=", "!="):
-            raise ParseError(f"expected '=' or '!=', got {op!r}", column=col + 1)
-        kind, value, vcol = self._take()
+        op = self._take()
+        if op[0] not in ("=", "!="):
+            raise self._error(f"expected '=' or '!=', got {op[1]!r}", op)
+        negated = op[0] == "!="
+        kind, value, _ = token = self._take()
         if kind == "string":
-            return LiteralNode(attribute, value, negated=(op == "!="))
+            return LiteralNode(attribute, value, negated=negated)
         if kind == "word" and is_valid_attribute_name(value):
-            return LiteralNode(attribute, value, negated=(op == "!="), target_is_attribute=True)
-        raise ParseError(
-            f"expected a quoted value or attribute name, got {value!r}", column=vcol + 1
-        )
+            return LiteralNode(attribute, value, negated=negated, target_is_attribute=True)
+        raise self._error(f"expected a quoted value or attribute name, got {value!r}", token)
 
 
 def parse_formula(text: str) -> Formula:

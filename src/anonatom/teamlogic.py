@@ -159,13 +159,20 @@ def evaluate(
         if not rows:
             return evaluate(extend(team, formula.attribute, {}), values, formula.body,
                             max_expansions=max_expansions)
-        subsets = _nonempty_subsets(values)
-        total = len(subsets) ** len(rows)
-        if total > max_expansions:
+        # (2^|values| - 1)^|rows| expansions, compared with the budget before
+        # any subset is built; past the budget's bit length in values, or in
+        # rows with two or more values, the count exceeds it unevaluated
+        bits = max_expansions.bit_length()
+        if (
+            len(values) > bits
+            or (len(values) > 1 and len(rows) > bits)
+            or ((1 << len(values)) - 1) ** len(rows) > max_expansions
+        ):
             raise ResourceError(
-                f"existential search needs {total} expansions "
+                f"existential search needs (2^{len(values)} - 1)^{len(rows)} expansions "
                 f"({len(rows)} rows x {len(values)} values); budget is {max_expansions}"
             )
+        subsets = _nonempty_subsets(values)
         for combo in itertools.product(subsets, repeat=len(rows)):
             extended = extend(team, formula.attribute, dict(zip(rows, combo)))
             if evaluate(extended, values, formula.body, max_expansions=max_expansions):

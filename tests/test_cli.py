@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import anonatom
 from anonatom import (
     AtomSet,
     Derivation,
@@ -122,6 +127,24 @@ class TestCheck:
             ["check", "--team", census_csv, "--atom", "x Y y", "--formula", 'a = "0"']
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            'dep(surname ; salary ")"',
+            'surname = "x" "&" salary = "y"',
+            '"(" surname = "1" )',
+            'surname = "x" "->" dep(surname ; salary)',
+            'anon(2 ; surname ";" salary )',
+            "anon(\u00b2 ; surname ; salary)",
+        ],
+    )
+    def test_quoted_punctuation_and_non_ascii_digits_are_parse_errors(
+        self, capsys, census_csv, formula
+    ):
+        code, doc = run_json(capsys, "check", "--team", census_csv, "--formula", formula)
+        assert code == 2
+        assert doc["error"]["kind"] == "ParseError"
 
     def test_deeply_nested_formula_is_a_parse_error(self, capsys, census_csv):
         formula = "(" * 5000 + 'surname = "Jones"' + ")" * 5000
@@ -333,6 +356,44 @@ class TestErrorRecords:
         assert code == 0
         assert "anonatom" in capsys.readouterr().out
 
+    def test_help_flag(self, capsys):
+        assert main(["check", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: anonatom check")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--team", "t.csv", "--formula", "->"],
+            ["check", "--team", "t.csv"],
+            ["check", "--team", "t.csv", "--atom", "x Y y", "--bogus"],
+            ["oracle", "--sigma", "s.txt", "--goal", "x Y y", "--attrs", "five"],
+            [],
+        ],
+    )
+    def test_usage_error_is_a_json_record(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["kind"] == "ArgumentError"
+        assert captured.err == ""
+
+
+def test_saturation_output_does_not_depend_on_hash_seed(tmp_path):
+    sigma = tmp_path / "sigma.txt"
+    sigma.write_text("b Y c e\nd Y3 c\ne Y3 b a\n", encoding="utf-8")
+    argv = [sys.executable, "-m", "anonatom", "entail", "--mode", "k-saturate",
+            "--sigma", str(sigma), "--goal", "d Y3 a c e"]
+    src = str(Path(anonatom.__file__).resolve().parent.parent)
+    outputs = set()
+    for seed in "0123":
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+
 
 # Text that is well-formed, malformed or nonsense for the atom and formula
 # grammars, with odd multiplicities and stray characters.  At most a handful
@@ -398,12 +459,47 @@ def test_exit_code_contract_holds_for_any_text(fuzz_dir, command, sigma, text):
     sigma_path.write_text(sigma, encoding="utf-8")
     name, option = command
     if name == "check":
-        argv = [name, f"--team={fuzz_dir / 'team.csv'}", f"{option}={text}"]
+        argv = [name, f"--team={fuzz_dir / 'team.csv'}", option, text]
     else:
-        argv = [name, f"--sigma={sigma_path}", f"--goal={text}", option]
+        argv = [name, f"--sigma={sigma_path}", "--goal", text, option]
+    _assert_contract(argv)
+
+
+def _assert_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)  # an escaping exception is the traceback the contract forbids
     assert code in (0, 1, 2, 3)
     json.loads(out.getvalue())  # exactly one JSON document, nothing around it
     assert "Traceback" not in err.getvalue()
+
+
+# CSV bytes that are well-formed, ragged, blank, badly quoted, or not UTF-8,
+# under a header that may be missing, duplicated or malformed.
+_CSV_BYTES = st.lists(
+    st.one_of(
+        st.sampled_from(
+            (b"a", b"b", b"a,b", b"a,a", b"b,a", b",", b"0", b"1", b"0,1", b'"', b'""', b'"0,1"',
+             b"\x00", b"\r", b"\n", b"\r\n", b"\n\n", b" ", b"\xff", b"\xc3", b"\xef\xbb\xbf", b"Y")
+        ),
+        st.binary(max_size=3),
+    ),
+    max_size=12,
+).map(b"".join)
+
+
+@settings(max_examples=200, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=_CSV_BYTES,
+    query=st.sampled_from(
+        [
+            ["audit", "--publish", "a", "--protect", "b", "--min-k", "2"],
+            ["check", "--atom", "a Y b"],
+            ["check", "--formula", 'a = "0" -> dep(a ; b)'],
+        ]
+    ),
+)
+def test_exit_code_contract_holds_for_any_csv(fuzz_dir, data, query):
+    team_path = fuzz_dir / "fuzz.csv"
+    team_path.write_bytes(data)
+    _assert_contract([query[0], "--team", str(team_path), *query[1:]])

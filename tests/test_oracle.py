@@ -84,6 +84,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="limit"):
             semantic_entails(sigma, atom("abc", "d"), OracleConfig(attribute_limit=3))
 
+    def test_limit_comes_before_the_candidates(self):
+        sigma = AtomSet.of(atom("x", "y"))  # a candidate countermodel would refute
+        with pytest.raises(ConfigError, match="limit"):
+            semantic_entails(sigma, atom("abcd", "e"), OracleConfig(attribute_limit=4))
+
 
 class TestExhaustive:
     def test_transitivity_refuted(self):

@@ -162,6 +162,42 @@ class TestParseFormula:
         with pytest.raises(ParseError, match="column"):
             parse_formula("a = ")
 
+    @pytest.mark.parametrize(
+        "text, message, column",
+        [
+            ('a ! "x"', "expected '!='", 3),
+            ('a = "x\\q"', "bad escape sequence in string", 7),
+            ('a = "x\\', "bad escape sequence in string", 7),
+            ('a = "x\\"', "unterminated string", 5),
+            ('a = "1" # c', "unexpected character '#'", 9),
+        ],
+    )
+    def test_scan_errors(self, text, message, column):
+        with pytest.raises(ParseError) as caught:
+            parse_formula(text)
+        assert str(caught.value) == f"{message} (column {column})"
+        assert caught.value.column == column
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'dep(a ; b ")"',
+            'a = "x" "&" b = "y"',
+            '"(" a = "1" )',
+            'a = "x" "->" dep(a ; b)',
+            'anon(2 ; a ";" b )',
+        ],
+    )
+    def test_quoted_punctuation_is_a_value(self, text):
+        with pytest.raises(ParseError):
+            parse_formula(text)
+
+    @pytest.mark.parametrize("digits", ["\u00b2", "\u0663", "3\u0663"])
+    def test_multiplicity_is_ascii_digits(self, digits):
+        with pytest.raises(ParseError, match="expected a multiplicity") as caught:
+            parse_formula(f"anon({digits} ; a ; b)")
+        assert caught.value.column == 6
+
 
 class TestFormulaRoundTrip:
     def test_fixed_cases(self):

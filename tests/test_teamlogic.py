@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -119,6 +120,25 @@ class TestEvaluate:
         team = make_team(("a", "b"), itertools.product("0123", repeat=2))
         with pytest.raises(ResourceError):
             evaluate(team, ("0", "1", "2"), ExistsNode("v", lit("v", "0")), max_expansions=10)
+
+    def test_exists_budget_is_exact(self):
+        team = make_team(("a",), [("0",), ("1",)])
+        formula = ExistsNode("v", lit("v", "9"))  # fails on every expansion
+        assert not evaluate(team, ("0", "1", "2"), formula, max_expansions=49)  # 7^2
+        with pytest.raises(ResourceError):
+            evaluate(team, ("0", "1", "2"), formula, max_expansions=48)
+
+    def test_exists_budget_is_checked_before_allocation(self):
+        team = make_team(("a",), [("0",), ("1",)])
+        domain = tuple(str(i) for i in range(16))  # 65535^2 expansions
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                evaluate(team, domain, ExistsNode("v", lit("v", "0")))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_exists_on_empty_team(self):
         team = make_team(("a",), [])
