@@ -1,9 +1,9 @@
 """Command surface: ``check``, ``audit``, ``entail``, and ``oracle``.
 
-Each invocation writes one structured JSON report to standard output
-(or a human-readable rendering with ``--pretty``) and exits with the
-stable status contract: 0 holds/derivable/entailed, 1 fails/refuted,
-2 usage or input error, 3 unknown.
+Each invocation writes one structured JSON report, on one line, to
+standard output (or a human-readable rendering with ``--pretty``) and
+exits with the stable status contract: 0 holds/derivable/entailed,
+1 fails/refuted, 2 usage or input error, 3 unknown.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _emit(args, document: dict, pretty_lines: list[str]) -> None:
     if getattr(args, "pretty", False):
         print("\n".join(pretty_lines))
     else:
-        print(json.dumps(document, indent=2, sort_keys=False))
+        print(json.dumps(document))  # with indent, json falls back to pure Python
 
 
 def _atom_text(atom: Atom) -> str | None:

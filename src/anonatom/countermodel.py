@@ -105,7 +105,7 @@ def _grid_team(
     zero = dict.fromkeys(published, tokens[:1])
     low = dict.fromkeys(protected, tokens[: bound + 1])
     rows = grid({}) - grid(zero) | grid({**zero, **low})
-    return Team(Schema(names), frozenset(rows))
+    return Team._trusted(Schema(names), frozenset(rows))
 
 
 def ternary_team_size(attribute_count: int, published: int, protected: int) -> int:

@@ -164,9 +164,10 @@ class _GridCache:
         return mask
 
     def team(self, attributes: tuple[str, ...], index: int) -> Team:
-        """Team ``index`` over this grid, with ``attributes`` as its schema."""
+        """Team ``index`` over this grid, with ``attributes`` (``arity``
+        names) as its schema."""
         rows = (row for j, row in enumerate(self.grid) if index >> j & 1)
-        return Team(Schema(attributes), frozenset(rows))
+        return Team._trusted(Schema(attributes), frozenset(rows))
 
 
 _grid_caches: dict[tuple[int, tuple[str, ...]], _GridCache] = {}

@@ -50,7 +50,10 @@ def parse_atom(text: str, *, line: int | None = None) -> Atom:
         raise ParseError(f"more than one 'Y' separator in {text.strip()!r}", line=line)
     at = positions[0]
     digits = _SEPARATOR.match(tokens[at]).group(1)  # type: ignore[union-attr]
-    k = 2 if digits is None else int(digits)
+    try:
+        k = 2 if digits is None else int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"multiplicity has too many digits ({len(digits)})", line=line) from None
     if k < 1:
         raise ParseError("multiplicity must be at least 1", line=line)
     published = tokens[:at]
@@ -107,6 +110,12 @@ _TOKEN = re.compile(
 _UNESCAPE = re.compile(r"\\(.)")
 
 _Token = tuple[str, str, int]
+
+
+def _shown(token: _Token) -> str:
+    """A token as error messages show it: a string with its quotes, so that
+    it reads neither as a word nor as punctuation."""
+    return _quote(token[1]) if token[0] == "string" else repr(token[1])
 
 
 def _tokens(text: str) -> list[_Token]:
@@ -171,13 +180,13 @@ class _FormulaParser:
         if token[0] == "end":
             raise self._error(f"expected {kind!r} but input ended", token)
         if token[0] != kind:
-            raise self._error(f"expected {kind!r}, got {token[1]!r}", token)
+            raise self._error(f"expected {kind!r}, got {_shown(token)}", token)
 
     def parse(self) -> Formula:
         formula = self._formula()
         token = self._peek()
         if token[0] != "end":
-            raise self._error(f"unexpected trailing input {token[1]!r}", token)
+            raise self._error(f"unexpected trailing input {_shown(token)}", token)
         return formula
 
     def _formula(self) -> Formula:
@@ -217,7 +226,7 @@ class _FormulaParser:
         return AndNode(tuple(flat))
 
     def _unit(self) -> Formula:
-        kind, value, _ = self._peek()
+        kind, value, _ = token = self._peek()
         if kind == "(":
             self._take()
             inner = self._formula()
@@ -234,12 +243,12 @@ class _FormulaParser:
             return self._atom_call()
         if kind == "word":
             return self._literal()
-        raise self._error(f"expected a formula, got {value!r}", self._peek())
+        raise self._error(f"expected a formula, got {_shown(token)}", token)
 
     def _name(self) -> str:
         token = self._take()
         if token[0] != "word" or not is_valid_attribute_name(token[1]):
-            raise self._error(f"expected an attribute name, got {token[1]!r}", token)
+            raise self._error(f"expected an attribute name, got {_shown(token)}", token)
         return token[1]
 
     def _attrs(self) -> tuple[str, ...]:
@@ -254,8 +263,13 @@ class _FormulaParser:
         if keyword == "anon":
             token = self._take()
             if token[0] != "word" or not re.fullmatch(_INT, token[1]):
-                raise self._error(f"expected a multiplicity, got {token[1]!r}", token)
-            k = int(token[1])
+                raise self._error(f"expected a multiplicity, got {_shown(token)}", token)
+            try:
+                k = int(token[1])
+            except ValueError:  # more digits than int() converts
+                raise self._error(
+                    f"multiplicity has too many digits ({len(token[1])})", token
+                ) from None
             if k < 1:
                 raise self._error("multiplicity must be at least 1", token)
             self._expect(";")
@@ -271,14 +285,14 @@ class _FormulaParser:
         attribute = self._name()
         op = self._take()
         if op[0] not in ("=", "!="):
-            raise self._error(f"expected '=' or '!=', got {op[1]!r}", op)
+            raise self._error(f"expected '=' or '!=', got {_shown(op)}", op)
         negated = op[0] == "!="
         kind, value, _ = token = self._take()
         if kind == "string":
             return LiteralNode(attribute, value, negated=negated)
         if kind == "word" and is_valid_attribute_name(value):
             return LiteralNode(attribute, value, negated=negated, target_is_attribute=True)
-        raise self._error(f"expected a quoted value or attribute name, got {value!r}", token)
+        raise self._error(f"expected a quoted value or attribute name, got {_shown(token)}", token)
 
 
 def parse_formula(text: str) -> Formula:

@@ -104,6 +104,21 @@ class Team:
         object.__setattr__(self, "rows", rows)
 
     @classmethod
+    def _trusted(cls, schema: Schema, rows: frozenset[Row]) -> "Team":
+        """A team over rows that are already known to be valid, without
+        checking them again.
+
+        Precondition: ``rows`` is a frozenset of tuples of ``str``, each as
+        wide as ``schema``.  Only callers whose rows come from a checked
+        team, from the CSV reader after its width check, or from the
+        package's own string tokens may use it.
+        """
+        team = object.__new__(cls)
+        object.__setattr__(team, "schema", schema)
+        object.__setattr__(team, "rows", rows)
+        return team
+
+    @classmethod
     def of(cls, attributes: Sequence[str], rows: Iterable[Sequence[str]]) -> "Team":
         """Build a team from attribute names and an iterable of row tuples."""
         return cls(Schema(tuple(attributes)), frozenset(tuple(r) for r in rows))
@@ -150,7 +165,7 @@ class Team:
     def union(self, other: "Team") -> "Team":
         if other.schema != self.schema:
             raise SchemaError("cannot union teams over different schemas")
-        return Team(self.schema, self.rows | other.rows)
+        return Team._trusted(self.schema, self.rows | other.rows)
 
 
 def project(team: Team, attrs: Sequence[str]) -> list[Row]:

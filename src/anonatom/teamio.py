@@ -57,7 +57,8 @@ def _read(handle: IO[str]) -> LoadedTeam:
             rows.append(tuple(record))
     except csv.Error as exc:
         raise ParseError(str(exc), line=reader.line_num) from exc
-    team = Team(schema, frozenset(rows))
+    # the reader yields only strings, and every width is checked above
+    team = Team._trusted(schema, frozenset(rows))
     return LoadedTeam(team, len(rows) - len(team))
 
 

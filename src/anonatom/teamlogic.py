@@ -74,25 +74,23 @@ class ExistsNode:
 Formula = Union[AtomNode, LiteralNode, AndNode, ImplNode, ExistsNode]
 
 
-def _literal_holds(literal: LiteralNode, row: Row, schema: Schema) -> bool:
-    left = row[schema.index(literal.attribute)]
-    if literal.target_is_attribute:
-        right = row[schema.index(literal.target)]
-    else:
-        right = literal.target
-    return (left != right) if literal.negated else (left == right)
-
-
 def subteam(team: Team, guard: Sequence[LiteralNode]) -> Team:
-    """Rows satisfying every guard literal; the schema is unchanged."""
+    """Rows satisfying every guard literal; the schema is unchanged.
+
+    Each literal resolves its columns once, so an unknown attribute is a
+    SchemaError on every team, empty or not, and then filters the rows
+    left by the literals before it in one pass."""
+    rows = team.rows
     for literal in guard:
-        team.schema.index(literal.attribute)
+        left = team.schema.index(literal.attribute)
+        negated = literal.negated
         if literal.target_is_attribute:
-            team.schema.index(literal.target)
-    rows = {
-        row for row in team.rows if all(_literal_holds(l, row, team.schema) for l in guard)
-    }
-    return Team(team.schema, frozenset(rows))
+            right = team.schema.index(literal.target)
+            rows = [row for row in rows if (row[left] == row[right]) != negated]
+        else:
+            value = literal.target
+            rows = [row for row in rows if (row[left] == value) != negated]
+    return Team._trusted(team.schema, frozenset(rows))
 
 
 def extend(team: Team, fresh: str, choice: Mapping[Row, frozenset[str] | set[str]]) -> Team:
@@ -134,10 +132,7 @@ def evaluate(
     if isinstance(formula, AtomNode):
         return satisfies(team, formula.atom)
     if isinstance(formula, LiteralNode):
-        team.schema.index(formula.attribute)
-        if formula.target_is_attribute:
-            team.schema.index(formula.target)
-        return all(_literal_holds(formula, row, team.schema) for row in team.rows)
+        return len(subteam(team, (formula,))) == len(team)
     if isinstance(formula, AndNode):
         return all(
             evaluate(team, domain, part, max_expansions=max_expansions)

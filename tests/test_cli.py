@@ -283,6 +283,16 @@ class TestEntail:
         assert code == 2
         assert doc["error"]["kind"] == "FragmentError"
 
+    def test_multiplicity_too_long_for_int_is_a_parse_error(self, capsys, tmp_path):
+        sigma_path = tmp_path / "s.txt"
+        sigma_path.write_text("x Y y\nx Y" + "9" * 5000 + " y\n", encoding="utf-8")
+        code, doc = run_json(capsys, "entail", "--sigma", str(sigma_path), "--goal", "x Y y")
+        assert code == 2
+        assert doc["error"] == {
+            "kind": "ParseError",
+            "message": "multiplicity has too many digits (5000) (line 2)",
+        }
+
     def test_missing_sigma_file(self, capsys, tmp_path):
         code, doc = run_json(
             capsys, "entail", "--sigma", str(tmp_path / "nope.txt"), "--goal", "x Y y"
@@ -470,6 +480,7 @@ def _assert_contract(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)  # an escaping exception is the traceback the contract forbids
     assert code in (0, 1, 2, 3)
+    assert out.getvalue().count("\n") == 1 and out.getvalue().endswith("\n")  # one line
     json.loads(out.getvalue())  # exactly one JSON document, nothing around it
     assert "Traceback" not in err.getvalue()
 
@@ -503,3 +514,79 @@ def test_exit_code_contract_holds_for_any_csv(fuzz_dir, data, query):
     team_path = fuzz_dir / "fuzz.csv"
     team_path.write_bytes(data)
     _assert_contract([query[0], "--team", str(team_path), *query[1:]])
+
+
+def _report(kind, **fields):
+    return {"tool": "anonatom", "version": "0.1.0", "command": kind, **fields}
+
+
+def _census_summary(path):
+    return {"path": path, "attributes": ["surname", "hometown", "salary"], "rows": 6,
+            "duplicate_rows": 0}
+
+
+def _node(rule, published, protected, text, premises=()):
+    return {"rule": rule, "conclusion": {"published": published, "protected": protected, "k": 2},
+            "premises": list(premises), "text": text}
+
+
+_XY_REFUTER = [["0", "0"], ["0", "1"], ["0", "2"], ["1", "1"], ["1", "2"], ["2", "1"], ["2", "2"]]
+
+
+def test_reports_are_one_line_of_unchanged_json(capsys, tmp_path, census_csv):
+    """Each command's report is one line; the documents are pinned field
+    for field, in key order."""
+    derivable, one, empty = tmp_path / "derivable.txt", tmp_path / "one.txt", tmp_path / "empty.txt"
+    derivable.write_text("x y Y z\n", encoding="utf-8")
+    one.write_text("x Y y\n", encoding="utf-8")
+    empty.write_text("", encoding="utf-8")
+    census = _census_summary(census_csv)
+    formula = 'hometown = "Watarru" -> anon(2 ; salary ; surname)'
+    cases = [
+        (["check", "--team", census_csv, "--atom", "surname Y hometown"], 1, _report(
+            "check", team=census, query={"kind": "atom", "text": "surname Y hometown"},
+            verdict=False, evidence={"published_key": ["Balbuk"], "distinct_protected": 1,
+                                     "required": 2, "rows": [["Balbuk", "Watarru", "70,000"]]},
+        )),
+        (["check", "--team", census_csv, "--formula", formula], 0, _report(
+            "check", team=census, query={"kind": "formula", "text": formula},
+            domain=["100,000", "70,000", "90,000", "Amata", "Balbuk", "Barambah", "Finke",
+                    "Jones", "Smith", "Watarru", "Williams", "Yunipingu"],
+            verdict=True, evidence=None,
+        )),
+        (["audit", "--team", census_csv, "--publish", "hometown", "--protect", "salary",
+          "--min-k", "2"], 1, _report(
+            "audit", team=census, publish=["hometown"], protect=["salary"], degree=1,
+            groups=[{"key": [town], "rows": 2, "distinct_protected": 1}
+                    for town in ("Amata", "Finke", "Watarru")],
+            min_k=2, meets_min_k=False,
+        )),
+        (["entail", "--sigma", str(derivable), "--goal", "x Y z u"], 0, _report(
+            "entail", mode="upsilon", sigma=["x y Y z"], goal="x Y z u", verdict="derivable",
+            derivation=_node("A2", ["x"], ["z", "u"], "x Y z u",
+                             [_node("hyp", ["x", "y"], ["z"], "x y Y z")]),
+        )),
+        (["entail", "--sigma", str(one), "--goal", "y Y x"], 1, _report(
+            "entail", mode="upsilon", sigma=["x Y y"], goal="y Y x", verdict="not-derivable",
+            countermodel={"construction": "ternary-grid", "domain_size": 3, "rows": 7,
+                          "attributes": ["x", "y"], "failed_goal": "y Y x", "team": _XY_REFUTER},
+        )),
+        (["entail", "--sigma", str(empty), "--goal", "x Y3 y", "--mode", "k-saturate"], 3,
+         _report("entail", mode="k-saturate", sigma=[], goal="x Y3 y", verdict="unknown",
+                 saturated_atoms=0)),
+        (["oracle", "--sigma", str(one), "--goal", "y Y x", "--attrs", "2"], 1, _report(
+            "oracle", mode="exhaustive", sigma=["x Y y"], goal="y Y x", status="refuted",
+            teams_checked=1, refuter={"attributes": ["x", "y"], "rows": _XY_REFUTER},
+        )),
+        (["oracle", "--sigma", str(derivable), "--goal", "x Y z", "--attrs", "3"], 0, _report(
+            "oracle", mode="exhaustive", sigma=["x y Y z"], goal="x Y z", status="entailed",
+            teams_checked=256,
+        )),
+    ]
+    for argv, expected_code, expected in cases:
+        code, out = run(capsys, *argv)
+        assert code == expected_code, argv
+        assert out.count("\n") == 1 and out.endswith("\n"), argv
+        document = json.loads(out)
+        assert document == expected, argv
+        assert list(document) == list(expected), argv

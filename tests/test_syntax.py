@@ -58,6 +58,10 @@ class TestParseAtom:
         with pytest.raises(ParseError, match="invalid attribute name"):
             parse_atom('x Y va"lue')
 
+    def test_multiplicity_too_long_for_int(self):
+        with pytest.raises(ParseError, match=r"too many digits \(5000\)"):
+            parse_atom("x Y" + "9" * 5000 + " y")
+
 
 class TestFormatAtom:
     def test_round_trips(self):
@@ -101,6 +105,10 @@ class TestSigmaFiles:
     def test_error_carries_line_number(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_sigma("x Y y\n\nx Y0 y\n")
+
+    def test_multiplicity_too_long_for_int_carries_line_number(self):
+        with pytest.raises(ParseError, match=r"too many digits \(5000\) \(line 2\)"):
+            parse_sigma("x Y y\nx Y" + "9" * 5000 + " y\n")
 
     def test_round_trip(self):
         sigma = parse_sigma(self.TEXT)
@@ -179,18 +187,43 @@ class TestParseFormula:
         assert caught.value.column == column
 
     @pytest.mark.parametrize(
-        "text",
+        "text, message",
         [
-            'dep(a ; b ")"',
-            'a = "x" "&" b = "y"',
-            '"(" a = "1" )',
-            'a = "x" "->" dep(a ; b)',
-            'anon(2 ; a ";" b )',
+            pytest.param(text, message, id=text)
+            for text, message in [
+                ('dep(a ; b ")"', """expected ')', got ")" (column 11)"""),
+                ('a = "x" "&" b = "y"', 'unexpected trailing input "&" (column 9)'),
+                ('"(" a = "1" )', 'expected a formula, got "(" (column 1)'),
+                ('a = "x" "->" dep(a ; b)', 'unexpected trailing input "->" (column 9)'),
+                ('anon(2 ; a ";" b )', """expected ';', got ";" (column 12)"""),
+            ]
         ],
     )
-    def test_quoted_punctuation_is_a_value(self, text):
-        with pytest.raises(ParseError):
+    def test_quoted_punctuation_is_a_value(self, text, message):
+        with pytest.raises(ParseError) as caught:
             parse_formula(text)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('anon("2" ; a ; b)', 'expected a multiplicity, got "2" (column 6)'),
+            ('dep("a" ; b)', 'expected an attribute name, got "a" (column 5)'),
+            ('a "=" b', """expected '=' or '!=', got "=" (column 3)"""),
+            ('a = "1" "x\\"y"', 'unexpected trailing input "x\\"y" (column 9)'),
+            ("anon(2 ; a ; )", "expected an attribute name, got ')' (column 14)"),
+            ("a = (", "expected a quoted value or attribute name, got '(' (column 5)"),
+        ],
+    )
+    def test_error_shows_a_string_with_its_quotes(self, text, message):
+        with pytest.raises(ParseError) as caught:
+            parse_formula(text)
+        assert str(caught.value) == message
+
+    def test_multiplicity_too_long_for_int(self):
+        with pytest.raises(ParseError, match=r"too many digits \(5000\)") as caught:
+            parse_formula("anon(" + "9" * 5000 + " ; a ; b)")
+        assert caught.value.column == 6
 
     @pytest.mark.parametrize("digits", ["\u00b2", "\u0663", "3\u0663"])
     def test_multiplicity_is_ascii_digits(self, digits):

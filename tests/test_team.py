@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from anonatom import Schema, SchemaError, Team, group_by, project
+from anonatom import Schema, SchemaError, Team, extend, group_by, project, random_team
 from conftest import grid_rows, random_small_team
 
 
@@ -70,6 +70,37 @@ class TestTeamConstruction:
             left.union(right)
         merged = left.union(Team.of(("a",), [("1",)]))
         assert len(merged) == 2
+        assert merged == Team.of(("a",), [("0",), ("1",)])
+
+
+class TestRowsFromCallersAreChecked:
+    """Every constructor whose rows come from its caller still checks them
+    (``Team.of``: ``TestTeamConstruction``)."""
+
+    def test_constructor(self):
+        with pytest.raises(SchemaError, match="1 values"):
+            Team(Schema(("a", "b")), frozenset({("1",)}))
+        with pytest.raises(SchemaError, match="non-string"):
+            Team(Schema(("a",)), frozenset({(1,)}))
+
+    def test_from_records(self):
+        with pytest.raises(SchemaError, match="non-string"):
+            Team.from_records(("a", "b"), [{"a": "0", "b": 1}])
+
+    def test_extend(self):
+        team = Team.of(("a",), [("0",)])
+        with pytest.raises(SchemaError, match="non-string"):
+            extend(team, "v", {("0",): {1}})
+
+    def test_random_team(self):
+        with pytest.raises(SchemaError, match="non-string"):
+            random_team(("a",), (0, 1), 8, seed=1)
+
+    def test_trusted_team_equals_checked_team(self):
+        rows = frozenset({("0", "1"), ("1", "1")})
+        trusted = Team._trusted(Schema(("a", "b")), rows)
+        assert trusted == Team.of(("a", "b"), rows)
+        assert hash(trusted) == hash(Team.of(("a", "b"), rows))
 
 
 class TestProject:

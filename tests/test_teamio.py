@@ -1,4 +1,6 @@
+import csv
 import io
+import random
 
 import pytest
 
@@ -41,6 +43,32 @@ class TestReadTeamCsv:
     def test_ragged_row_carries_line_number(self):
         with pytest.raises(ParseError, match="line 3"):
             read_team_csv(io.StringIO("a,b\n0,1\n0\n"))
+
+    def test_ragged_row_after_quoted_newlines_carries_its_line(self):
+        with pytest.raises(ParseError, match="expected 2 fields, got 3 \\(line 4\\)"):
+            read_team_csv(io.StringIO('a,b\n"x\ny",1\n0,1,2\n'))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_reader_rows_equal_checked_rows(self, seed):
+        """Quoted commas and quotes, embedded newlines, blank lines and
+        duplicates: the team equals ``Team.of`` over the same records."""
+        rng = random.Random(seed)
+        values = ("0", "1", "a,b", 'say "hi"', "two\nlines", "", " ", "\r")
+        header = ("x", "y", "z")
+        records = [tuple(rng.choice(values) for _ in header) for _ in range(60)]
+        records += rng.sample(records, 15)
+        rng.shuffle(records)
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(header)
+        for record in records:
+            if rng.random() < 0.2:
+                text.write("\r\n")  # a blank line
+            writer.writerow(record)
+        loaded = read_team_csv(io.StringIO(text.getvalue(), newline=""))
+        assert loaded.team == Team.of(header, records)
+        assert loaded.duplicate_rows == len(records) - len(set(records))
+        assert loaded.duplicate_rows > 0
 
     def test_duplicate_rows_collapse_with_count(self):
         loaded = read_team_csv(io.StringIO("a,b\n0,1\n0,1\n1,1\n"))

@@ -20,7 +20,7 @@ from anonatom import (
     extend,
     subteam,
 )
-from conftest import all_teams, make_team
+from conftest import all_teams, make_team, random_small_team
 
 
 def lit(attr, value, negated=False, is_attr=False):
@@ -46,6 +46,52 @@ class TestSubteam:
     def test_unknown_attribute(self, census_team):
         with pytest.raises(SchemaError):
             subteam(census_team, (lit("age", "1"),))
+
+    @pytest.mark.parametrize(
+        "guard",
+        [
+            (lit("age", "1"),),
+            (lit("surname", "age", is_attr=True),),
+            (lit("hometown", "Nowhere"), lit("age", "1", negated=True)),
+            (lit("hometown", "Nowhere"), lit("salary", "age", is_attr=True)),
+        ],
+    )
+    def test_unknown_attribute_on_any_team(self, census_team, guard):
+        """Also behind a literal that leaves no row, and on the empty team."""
+        for team in (census_team, make_team(census_team.schema.attributes, [])):
+            with pytest.raises(SchemaError, match="'age'"):
+                subteam(team, guard)
+            with pytest.raises(SchemaError, match="'age'"):
+                evaluate(team, (), ImplNode(guard, lit("surname", "x")))
+            with pytest.raises(SchemaError, match="'age'"):
+                evaluate(team, (), guard[-1])
+
+    def test_agrees_with_brute_force(self):
+        """Every = / != literal over a constant or an attribute, in guards of
+        one to three literals, on random small teams."""
+        attrs, values = ("a", "b", "c"), ("0", "1", "2")
+        literals = [
+            lit(attr, target, negated, target in attrs)
+            for attr in attrs
+            for target in (*values, *attrs)
+            for negated in (False, True)
+        ]
+
+        def holds(literal, row):
+            left = row[attrs.index(literal.attribute)]
+            right = (row[attrs.index(literal.target)] if literal.target_is_attribute
+                     else literal.target)
+            return (left != right) if literal.negated else (left == right)
+
+        rng = random.Random(71)
+        for _ in range(300):
+            team = random_small_team(rng, attrs, values, 12)
+            for size in (1, 2, 3):
+                guard = tuple(rng.choice(literals) for _ in range(size))
+                expected = {row for row in team.rows if all(holds(l, row) for l in guard)}
+                part = subteam(team, guard)
+                assert part == make_team(attrs, expected), guard
+                assert evaluate(team, (), guard[0]) == all(holds(guard[0], r) for r in team.rows)
 
 
 class TestExtend:
