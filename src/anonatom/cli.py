@@ -9,6 +9,7 @@ exits with the stable status contract: 0 holds/derivable/entailed,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from typing import Sequence
@@ -148,7 +149,7 @@ def _cmd_check(args) -> int:
     else:
         formula = parse_formula(args.formula)
         domain = _split_names(args.domain) if args.domain else tuple(
-            sorted({value for row in team.rows for value in row})
+            sorted(set(itertools.chain.from_iterable(team.rows)))
         )
         verdict = evaluate(team, domain, formula)
         document["query"] = {"kind": "formula", "text": args.formula.strip()}
@@ -191,10 +192,11 @@ def _cmd_audit(args) -> int:
         f"protect: {', '.join(protect)}",
         f"anonymity degree: {'unbounded' if unbounded else degree}",
     ]
-    for group in groups:
-        pretty.append(
+    if args.pretty:
+        pretty += (
             f"  group {tuple(group['key'])}: {group['rows']} row(s), "
             f"{group['distinct_protected']} distinct protected tuple(s)"
+            for group in groups
         )
     status = EXIT_HOLDS
     if args.min_k is not None:

@@ -290,69 +290,96 @@ def entails_k_simple(sigma: AtomSet, goal: Atom) -> Entailment:
 # Saturation bookkeeping: per (published, protected) pair we keep the best
 # multiplicity reached (capped at the goal's, which weakening justifies)
 # and, per reached triple, how it was derived.
-_Key = tuple[frozenset[str], frozenset[str]]
-_Triple = tuple[frozenset[str], frozenset[str], int]
+_Key = tuple[int, int]
+_Triple = tuple[int, int, int]
 
 
 class _Saturation:
-    # Every walk below follows the sorted universe or insertion order, never
-    # set iteration order, so the proof found does not depend on string
-    # hashing (PYTHONHASHSEED).
+    # Attribute sets are int bitmasks: bit i stands for ``attrs[i]``, the
+    # i-th name of the sorted universe, so a published side is an int and a
+    # key is a pair of ints.  The weakening loop walks the bits from low to
+    # high, which is the sorted-name order, and every other walk follows dict
+    # insertion order, never set iteration order; so the proof found does
+    # not depend on string hashing (PYTHONHASHSEED).  Names come back only
+    # through ``names``, for the proof tree and the saturated set.
     def __init__(self, sigma: AtomSet, goal: Atom, max_steps: int):
         self.cap = goal.k
         self.attrs = sorted(universe(sigma, goal))
+        self.bit = {a: 1 << i for i, a in enumerate(self.attrs)}
         self.max_steps = max_steps
         self.best: dict[_Key, int] = {}
         self.proofs: dict[_Triple, tuple] = {}
-        self.by_published: dict[frozenset[str], dict[_Key, None]] = {}
-        self.by_closure: dict[frozenset[str], dict[_Key, None]] = {}
+        self.by_published: dict[int, dict[_Key, None]] = {}
+        self.by_closure: dict[int, dict[_Key, None]] = {}
         self.queue: list[_Triple] = []
         self.steps = 0
+        self._names: dict[int, frozenset[str]] = {}
+
+    def key(self, normal: NormalAtom) -> _Key:
+        bit = self.bit
+        return sum(bit[a] for a in normal.published), sum(bit[a] for a in normal.protected)
+
+    def names(self, mask: int) -> frozenset[str]:
+        names = self._names.get(mask)
+        if names is None:
+            names = self._names[mask] = frozenset(
+                a for i, a in enumerate(self.attrs) if mask >> i & 1
+            )
+        return names
 
     def offer(self, key: _Key, k: int, proof: tuple) -> None:
-        k = min(k, self.cap)
+        if k > self.cap:
+            k = self.cap
         if self.best.get(key, 0) >= k:
             return
         self.best[key] = k
-        triple = (key[0], key[1], k)
+        pub, prot = key
+        triple = (pub, prot, k)
         self.proofs[triple] = proof
         self.queue.append(triple)
-        self.by_published.setdefault(key[0], {})[key] = None
-        self.by_closure.setdefault(key[0] | key[1], {})[key] = None
+        self.by_published.setdefault(pub, {})[key] = None
+        self.by_closure.setdefault(pub | prot, {})[key] = None
 
     def run(self) -> None:
-        while self.queue:
+        best, queue, offer = self.best, self.queue, self.offer
+        by_published, by_closure = self.by_published, self.by_closure
+        bits = [1 << i for i in range(len(self.attrs))]
+        while queue:
             self.steps += 1
             if self.steps > self.max_steps:
                 raise ResourceError(
                     f"saturation budget exceeded after {self.steps - 1} steps; "
-                    f"partial closure holds {len(self.best)} atoms"
+                    f"partial closure holds {len(best)} atoms"
                 )
-            pub, prot, k = self.queue.pop()
-            if self.best.get((pub, prot), 0) != k:
+            source = queue.pop()
+            pub, prot, k = source
+            if best.get((pub, prot), 0) != k:
                 continue  # superseded by a better multiplicity
-            source = (pub, prot, k)
             # weakening moves: drop a published attribute (optionally
             # re-adding it on the protected side) or extend the protected side
-            for a in self.attrs:
-                if a in pub:
-                    smaller = pub - {a}
-                    self.offer((smaller, prot), k, ("A2", source))
-                    self.offer((smaller, prot | {a}), k, ("A2", source))
-                elif a not in prot:
-                    self.offer((pub, prot | {a}), k, ("A2", source))
+            weakened = ("A2", source)
+            for b in bits:
+                if pub & b:
+                    smaller = pub ^ b
+                    offer((smaller, prot), k, weakened)
+                    offer((smaller, prot | b), k, weakened)
+                elif not prot & b:
+                    offer((pub, prot | b), k, weakened)
             # chain composition with this atom as the first link ...
-            for key2 in list(self.by_published.get(pub | prot, ())):
-                k2 = self.best[key2]
-                self.offer((pub, prot | key2[1]), k * k2, ("A5", source, (key2[0], key2[1], k2)))
+            for key2 in list(by_published.get(pub | prot, ())):
+                k2 = best[key2]
+                offer((pub, prot | key2[1]), k * k2, ("A5", source, (*key2, k2)))
             # ... and as the second link
-            for key1 in list(self.by_closure.get(pub, ())):
-                k1 = self.best[key1]
-                self.offer((key1[0], key1[1] | prot), k1 * k, ("A5", (key1[0], key1[1], k1), source))
+            for key1 in list(by_closure.get(pub, ())):
+                k1 = best[key1]
+                offer((key1[0], key1[1] | prot), k1 * k, ("A5", (*key1, k1), source))
+
+    def normal(self, pub: int, prot: int, k: int) -> NormalAtom:
+        return NormalAtom(self.names(pub), self.names(prot), k)
 
     def rebuild(self, triple: _Triple) -> Derivation:
         proof = self.proofs[triple]
-        conclusion = atom_from_normal(NormalAtom(*triple))
+        conclusion = atom_from_normal(self.normal(*triple))
         if proof[0] == "hyp":
             return _weakening(proof[1], conclusion)
         if proof[0] == "A2":
@@ -389,14 +416,13 @@ def entails_k_saturate(sigma: AtomSet, goal: Atom, *, max_steps: int = 100_000) 
     for hyp in sigma.atoms:
         norm = normalize(hyp)
         if norm.k > 1:
-            sat.offer((norm.published, norm.protected), norm.k, ("hyp", hyp))
+            sat.offer(sat.key(norm), norm.k, ("hyp", hyp))
     sat.run()
 
-    g = normalize(goal)
-    key = (g.published, g.protected)
-    saturated = frozenset(NormalAtom(p, r, k) for (p, r), k in sat.best.items())
+    key = sat.key(normalize(goal))
+    saturated = frozenset(sat.normal(p, r, k) for (p, r), k in sat.best.items())
     if sat.best.get(key, 0) >= goal.k:
-        node = _restate(sat.rebuild((g.published, g.protected, sat.best[key])), goal)
+        node = _restate(sat.rebuild((*key, sat.best[key])), goal)
         return Entailment(Verdict.DERIVABLE, derivation=node, saturated=saturated)
     return Entailment(Verdict.UNKNOWN, saturated=saturated)
 

@@ -1,0 +1,22 @@
+"""The benchmark's reference checks on the saturation workload, at its quick
+sizes (about a second), so that each test run also checks the outputs the
+benchmark checks."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_entail_k_quick_run_is_correct():
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--quick", "--workload", "entail-k"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    summary = json.loads(done.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True, done.stdout
+    assert summary["failed"] == 0, done.stdout
+    assert summary["attempted"] > 0

@@ -221,6 +221,28 @@ class TestAudit:
         assert captured.out.strip().count("\n") == 0
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv, expected_code, expected", [
+        (["--publish", "hometown,salary", "--protect", "surname", "--min-k", "3"], 1, [
+            "publish: hometown, salary",
+            "protect: surname",
+            "anonymity degree: 2",
+            "  group ('Amata', '90,000'): 2 row(s), 2 distinct protected tuple(s)",
+            "  group ('Finke', '100,000'): 2 row(s), 2 distinct protected tuple(s)",
+            "  group ('Watarru', '70,000'): 2 row(s), 2 distinct protected tuple(s)",
+            "meets k >= 3: no",
+        ]),
+        (["--publish", "", "--protect", "hometown"], 0, [
+            "publish: (nothing)",
+            "protect: hometown",
+            "anonymity degree: 3",
+            "  group (): 6 row(s), 3 distinct protected tuple(s)",
+        ]),
+    ])
+    def test_pretty(self, capsys, census_csv, argv, expected_code, expected):
+        code, out = run(capsys, "audit", "--team", census_csv, *argv, "--pretty")
+        assert code == expected_code
+        assert out == "\n".join([f"team: {census_csv} (6 rows)", *expected]) + "\n"
+
     def test_protect_required_nonempty(self, capsys, census_csv):
         code, doc = run_json(
             capsys, "audit", "--team", census_csv, "--publish", "hometown", "--protect", ""

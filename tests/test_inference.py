@@ -252,6 +252,77 @@ class TestSaturation:
         assert result.saturated and all(n.k > 1 for n in result.saturated)
 
 
+def _tree(rule, published, protected, k, *premises):
+    return {"rule": rule, "conclusion": {"published": list(published),
+                                         "protected": list(protected), "k": k},
+            "premises": list(premises)}
+
+
+# Fixed instances at 6 to 8 attributes, with the closure size and the proof
+# tree that saturation gives for each.  The search order decides which of
+# several proofs is found, so these pin that order as well as the verdicts.
+_PINNED_SATURATIONS = [
+    pytest.param(
+        AtomSet.of(atom("ab", "cd"), atom("abcd", "e", 3), extra_attributes="f"),
+        atom("a", "cde", 6), 180,
+        _tree("A2", "a", "cde", 6, _tree("A5", "ab", "cde", 6,
+                                         _tree("hyp", "ab", "cd", 2),
+                                         _tree("hyp", "abcd", "e", 3))),
+        id="composition-6",
+    ),
+    pytest.param(
+        AtomSet.of(atom("ab", "c"), atom("abc", "d"), atom("abcd", "e", 3), atom("fg", "a")),
+        atom("a", "bcde", 12), 556,
+        _tree("A2", "a", "bcde", 12, _tree(
+            "A5", "ab", "cde", 12,
+            _tree("hyp", "ab", "c", 2),
+            _tree("A5", "abc", "de", 6,
+                  _tree("hyp", "abc", "d", 2), _tree("hyp", "abcd", "e", 3)),
+        )),
+        id="nested-composition-7",
+    ),
+    pytest.param(
+        AtomSet.of(atom("abc", "de", 3), atom("fg", "h"), atom("ab", "cf")),
+        atom("a", "def"), 556,
+        _tree("A2", "a", "def", 2, _tree("A2", "ab", "def", 2, _tree(
+            "A2", "abc", "def", 2,
+            _tree("A2", "abc", "de", 2, _tree("hyp", "abc", "de", 3)),
+        ))),
+        id="weakening-8",
+    ),
+    pytest.param(
+        AtomSet.of(atom("abc", "d", 3), atom("abcd", "e", 3), atom("h", "ga")),
+        atom("ab", "cde", 5), 456,
+        _tree("A2", "ab", "cde", 5, _tree("A2", "abc", "de", 5, _tree(
+            "A5", "abc", "de", 9,
+            _tree("hyp", "abc", "d", 3), _tree("hyp", "abcd", "e", 3),
+        ))),
+        id="capped-composition-8",
+    ),
+    pytest.param(
+        AtomSet.of(atom("ab", "cd"), atom("cd", "ef", 3), atom("e", "g")),
+        atom("a", "g"), 204, None, id="unknown-7",
+    ),
+    pytest.param(
+        AtomSet.of(atom("ab", "cd"), atom("abcd", "ef", 3), atom("gh", "a")),
+        atom("a", "cdef", 7), 664, None, id="unknown-8",
+    ),
+]
+
+
+@pytest.mark.parametrize("sigma, goal, closure, tree", _PINNED_SATURATIONS)
+def test_saturation_outputs_are_pinned(sigma, goal, closure, tree):
+    result = entails_k_saturate(sigma, goal)
+    assert len(result.saturated) == closure
+    if tree is None:
+        assert result.verdict is Verdict.UNKNOWN
+        assert result.derivation is None
+    else:
+        assert result.verdict is Verdict.DERIVABLE
+        assert result.derivation.to_dict() == tree
+        assert verify_derivation(result.derivation, sigma)
+
+
 class TestVerifyDerivation:
     def test_perturbed_conclusion_rejected(self):
         sigma = AtomSet.of(atom("xy", "z"))
