@@ -29,8 +29,9 @@ semantics (grouping ignores both).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .atoms import Atom
@@ -162,10 +163,25 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class Entailment:
+    """An engine's answer: the verdict, with a proof tree when Derivable
+    and a countermodel when NotDerivable.
+
+    ``saturated`` is the closure that ``entails_k_saturate`` reached, as a
+    set of normal atoms; the complete engines, and saturation answers
+    settled before any closure is built (k = 1 goals, inconsistent
+    hypotheses), give None.  The set is built from the closure's masks on
+    first read and then kept, so a caller that never reads it never pays
+    for it.  It takes no part in equality.
+    """
+
     verdict: Verdict
     derivation: Derivation | None = None
     countermodel: "CountermodelReport | None" = None
-    saturated: frozenset[NormalAtom] | None = None
+    _closure: "_Closure | None" = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def saturated(self) -> frozenset[NormalAtom] | None:
+        return None if self._closure is None else self._closure.atoms()
 
     @property
     def derivable(self) -> bool:
@@ -294,30 +310,16 @@ _Key = tuple[int, int]
 _Triple = tuple[int, int, int]
 
 
-class _Saturation:
-    # Attribute sets are int bitmasks: bit i stands for ``attrs[i]``, the
-    # i-th name of the sorted universe, so a published side is an int and a
-    # key is a pair of ints.  The weakening loop walks the bits from low to
-    # high, which is the sorted-name order, and every other walk follows dict
-    # insertion order, never set iteration order; so the proof found does
-    # not depend on string hashing (PYTHONHASHSEED).  Names come back only
-    # through ``names``, for the proof tree and the saturated set.
-    def __init__(self, sigma: AtomSet, goal: Atom, max_steps: int):
-        self.cap = goal.k
-        self.attrs = sorted(universe(sigma, goal))
-        self.bit = {a: 1 << i for i, a in enumerate(self.attrs)}
-        self.max_steps = max_steps
+class _Closure:
+    # The reached (published, protected) pairs as int masks with their best
+    # multiplicity, and the memoized mask -> names map: all that an
+    # ``Entailment`` keeps of a saturation, to build its saturated set on
+    # first read.  Bit i stands for ``attrs[i]``, the i-th name of the
+    # sorted universe.
+    def __init__(self, attrs: list[str]):
+        self.attrs = attrs
         self.best: dict[_Key, int] = {}
-        self.proofs: dict[_Triple, tuple] = {}
-        self.by_published: dict[int, dict[_Key, None]] = {}
-        self.by_closure: dict[int, dict[_Key, None]] = {}
-        self.queue: list[_Triple] = []
-        self.steps = 0
         self._names: dict[int, frozenset[str]] = {}
-
-    def key(self, normal: NormalAtom) -> _Key:
-        bit = self.bit
-        return sum(bit[a] for a in normal.published), sum(bit[a] for a in normal.protected)
 
     def names(self, mask: int) -> frozenset[str]:
         names = self._names.get(mask)
@@ -326,6 +328,40 @@ class _Saturation:
                 a for i, a in enumerate(self.attrs) if mask >> i & 1
             )
         return names
+
+    def normal(self, pub: int, prot: int, k: int) -> NormalAtom:
+        return NormalAtom(self.names(pub), self.names(prot), k)
+
+    def atoms(self) -> frozenset[NormalAtom]:
+        normal = self.normal
+        return frozenset(normal(p, r, k) for (p, r), k in self.best.items())
+
+
+class _Saturation:
+    # Attribute sets are int bitmasks over the sorted universe (see
+    # ``_Closure``), so a published side is an int and a key is a pair of
+    # ints.  The weakening loop walks the bits from low to high, which is
+    # the sorted-name order, and every other walk follows dict insertion
+    # order, never set iteration order; so the proof found does not depend
+    # on string hashing (PYTHONHASHSEED).  Names come back only through
+    # ``closure.names``, for the proof tree and the saturated set.  The
+    # proofs, queue and indices live here, not in the closure, so they are
+    # freed once the answer is built.
+    def __init__(self, sigma: AtomSet, goal: Atom, max_steps: int):
+        self.cap = goal.k
+        self.closure = _Closure(sorted(universe(sigma, goal)))
+        self.bit = {a: 1 << i for i, a in enumerate(self.closure.attrs)}
+        self.max_steps = max_steps
+        self.best = self.closure.best
+        self.proofs: dict[_Triple, tuple] = {}
+        self.by_published: dict[int, dict[_Key, None]] = {}
+        self.by_closure: dict[int, dict[_Key, None]] = {}
+        self.queue: list[_Triple] = []
+        self.steps = 0
+
+    def key(self, normal: NormalAtom) -> _Key:
+        bit = self.bit
+        return sum(bit[a] for a in normal.published), sum(bit[a] for a in normal.protected)
 
     def offer(self, key: _Key, k: int, proof: tuple) -> None:
         if k > self.cap:
@@ -343,7 +379,7 @@ class _Saturation:
     def run(self) -> None:
         best, queue, offer = self.best, self.queue, self.offer
         by_published, by_closure = self.by_published, self.by_closure
-        bits = [1 << i for i in range(len(self.attrs))]
+        bits = list(self.bit.values())
         while queue:
             self.steps += 1
             if self.steps > self.max_steps:
@@ -374,12 +410,9 @@ class _Saturation:
                 k1 = best[key1]
                 offer((key1[0], key1[1] | prot), k1 * k, ("A5", (*key1, k1), source))
 
-    def normal(self, pub: int, prot: int, k: int) -> NormalAtom:
-        return NormalAtom(self.names(pub), self.names(prot), k)
-
     def rebuild(self, triple: _Triple) -> Derivation:
         proof = self.proofs[triple]
-        conclusion = atom_from_normal(self.normal(*triple))
+        conclusion = atom_from_normal(self.closure.normal(*triple))
         if proof[0] == "hyp":
             return _weakening(proof[1], conclusion)
         if proof[0] == "A2":
@@ -396,8 +429,9 @@ class _Saturation:
 
 def entails_k_saturate(sigma: AtomSet, goal: Atom, *, max_steps: int = 100_000) -> Entailment:
     """Sound saturation for arbitrary k-atoms: Derivable with a proof tree
-    when the closure reaches the goal, otherwise Unknown with the
-    saturated normal-atom set.  Never claims NotDerivable.
+    when the closure reaches the goal, otherwise Unknown.  Either way the
+    answer's ``saturated`` set, built on first read, is the closure reached.
+    Never claims NotDerivable.
 
     Goals with k = 1 are settled up front and no ``Y1`` atom, not even a
     hypothesis, enters the closure: composing with a ``Y1`` link reaches
@@ -420,11 +454,10 @@ def entails_k_saturate(sigma: AtomSet, goal: Atom, *, max_steps: int = 100_000) 
     sat.run()
 
     key = sat.key(normalize(goal))
-    saturated = frozenset(sat.normal(p, r, k) for (p, r), k in sat.best.items())
     if sat.best.get(key, 0) >= goal.k:
         node = _restate(sat.rebuild((*key, sat.best[key])), goal)
-        return Entailment(Verdict.DERIVABLE, derivation=node, saturated=saturated)
-    return Entailment(Verdict.UNKNOWN, saturated=saturated)
+        return Entailment(Verdict.DERIVABLE, derivation=node, _closure=sat.closure)
+    return Entailment(Verdict.UNKNOWN, _closure=sat.closure)
 
 
 def explain_derivation(derivation: Derivation, sigma: AtomSet) -> str | None:

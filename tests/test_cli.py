@@ -596,6 +596,9 @@ def test_reports_are_one_line_of_unchanged_json(capsys, tmp_path, census_csv):
         (["entail", "--sigma", str(empty), "--goal", "x Y3 y", "--mode", "k-saturate"], 3,
          _report("entail", mode="k-saturate", sigma=[], goal="x Y3 y", verdict="unknown",
                  saturated_atoms=0)),
+        (["entail", "--sigma", str(one), "--goal", "a Y3 b", "--mode", "k-saturate"], 3,
+         _report("entail", mode="k-saturate", sigma=["x Y y"], goal="a Y3 b", verdict="unknown",
+                 saturated_atoms=12)),
         (["oracle", "--sigma", str(one), "--goal", "y Y x", "--attrs", "2"], 1, _report(
             "oracle", mode="exhaustive", sigma=["x Y y"], goal="y Y x", status="refuted",
             teams_checked=1, refuter={"attributes": ["x", "y"], "rows": _XY_REFUTER},

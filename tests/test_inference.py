@@ -7,6 +7,7 @@ from anonatom import (
     AtomSet,
     Derivation,
     FragmentError,
+    NormalAtom,
     ResourceError,
     Rule,
     Team,
@@ -20,7 +21,7 @@ from anonatom import (
     verify_countermodel,
     verify_derivation,
 )
-from anonatom.inference import explain_derivation
+from anonatom.inference import _Closure, explain_derivation
 from conftest import all_normal_shapes
 
 
@@ -321,6 +322,57 @@ def test_saturation_outputs_are_pinned(sigma, goal, closure, tree):
         assert result.verdict is Verdict.DERIVABLE
         assert result.derivation.to_dict() == tree
         assert verify_derivation(result.derivation, sigma)
+
+
+def _normal(pub, prot, k):
+    return NormalAtom(frozenset(pub), frozenset(prot), k)
+
+
+class TestSaturatedSet:
+    # x Y3 y, xy Y z |- x Y6 yz: the whole closure, captured from the
+    # eager implementation that built the set on every call
+    SIGMA = AtomSet.of(atom("x", "y", 3), atom("xy", "z"))
+    GOAL = atom("x", "yz", 6)
+    CLOSURE = frozenset({
+        _normal("", "xy", 3), _normal("", "xyz", 6), _normal("", "xz", 2),
+        _normal("", "y", 3), _normal("", "yz", 6), _normal("", "z", 2),
+        _normal("x", "y", 3), _normal("x", "yz", 6), _normal("x", "z", 2),
+        _normal("xy", "z", 2), _normal("y", "xz", 2), _normal("y", "z", 2),
+    })
+
+    def test_closure_is_pinned(self):
+        result = entails_k_saturate(self.SIGMA, self.GOAL)
+        assert result.verdict is Verdict.DERIVABLE
+        assert result.saturated == self.CLOSURE
+
+    @pytest.mark.parametrize("goal, tree_calls", [
+        (GOAL, True),  # the proof tree's conclusions take names too
+        (atom("z", "xy", 2), False),  # Unknown: nothing is named before the read
+    ])
+    def test_set_is_built_on_first_read(self, monkeypatch, goal, tree_calls):
+        calls = []
+        names = _Closure.names
+        monkeypatch.setattr(_Closure, "names",
+                            lambda self, mask: calls.append(mask) or names(self, mask))
+        result = entails_k_saturate(self.SIGMA, goal)
+        before = len(calls)
+        assert bool(before) == tree_calls
+        saturated = result.saturated  # two names per atom, on this read only
+        assert len(calls) - before == 2 * len(saturated)
+        assert result.saturated is saturated  # kept: the second read builds nothing
+        assert len(calls) - before == 2 * len(saturated)
+
+    @pytest.mark.parametrize("engine, sigma, goal", [
+        (entails_anonymity, AtomSet.of(atom("xy", "z")), atom("x", "z")),
+        (entails_anonymity, AtomSet.of(atom("x", "y")), atom("y", "x")),
+        (entails_k_simple, AtomSet.of(atom("x", "y", 3)), atom("x", "y", 2)),
+        (entails_k_simple, AtomSet.of(atom("x", "y", 2)), atom("x", "y", 3)),
+        # settled before any closure is built
+        (entails_k_saturate, AtomSet.of(), atom("x", "y", 1)),
+        (entails_k_saturate, AtomSet.of(atom("x", "x", 2)), atom("x", "y", 3)),
+    ])
+    def test_no_closure_gives_none(self, engine, sigma, goal):
+        assert engine(sigma, goal).saturated is None
 
 
 class TestVerifyDerivation:
