@@ -37,10 +37,11 @@ def _positive_multiplicity(k: object) -> int:
     return k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     """``published Y_k protected``: publishing keeps the protected tuple
-    k-anonymous.  k defaults to 2, the plain anonymity atom."""
+    k-anonymous.  k defaults to 2, the plain anonymity atom.  Slotted:
+    hypothesis sets and sweeps hold many of them."""
 
     published: tuple[str, ...]
     protected: tuple[str, ...]

@@ -22,23 +22,50 @@ Three constructions are used, all over decimal string tokens "0", "1",
 
 Builders verify their own output with the checkers and raise
 ``VerificationError`` instead of returning an unverified report.
+
+A grid depends only on its shape: the number of attributes, the domain
+size, the positions of the goal's published and protected attributes
+among the sorted attribute names, and the truncation bound.  Grids
+inside the oracle's grid space (at most ``GRID_SPACE_ATTRIBUTES``
+attributes over at most ``GRID_SPACE_DOMAIN`` values, so at most 81
+rows) are built once per shape and kept, with a memo of ``satisfies``
+verdicts on them keyed by the atom's positional normal form, so the
+engines and the oracle build each small grid once and check each atom
+shape on it once.  The cache is bounded by that grid space: a few
+hundred shapes, each with at most 3^4 atom sides times 82
+multiplicities.  Larger grids are built and checked on every call.
+Each team still carries the instance's own attribute names, and
+``verify_countermodel`` always runs the checkers on the team itself.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .atoms import Atom, satisfies
 from .errors import FragmentError, ResourceError, VerificationError
-from .inference import AtomSet, _inconsistent_member, _subsuming, normalize, universe
-from .team import Schema, Team
+from .inference import (
+    AtomSet,
+    _inconsistent_member,
+    _subsuming,
+    normalize,
+    position_mask,
+    positional_form,
+    universe,
+)
+from .team import Row, Schema, Team
 
 CONSTRUCTION_TERNARY = "ternary-grid"
 CONSTRUCTION_TRUNCATED = "truncated-grid"
 CONSTRUCTION_FULL = "full-grid"
 CONSTRUCTION_WITNESS = "explicit-witness"
+
+# The oracle's grid space, the bounds of ``OracleConfig``: at most this many
+# attributes over at most this many values.  Only grids inside it are cached.
+GRID_SPACE_ATTRIBUTES = 4
+GRID_SPACE_DOMAIN = 3
 
 
 @dataclass(frozen=True)
@@ -59,19 +86,24 @@ def verify_countermodel(report: CountermodelReport, sigma: AtomSet, goal: Atom) 
     return all(satisfies(team, hyp) for hyp in sigma.atoms) and not satisfies(team, goal)
 
 
+_Holds = Callable[[Team, Atom], bool]
+
+
 def _report(
-    team: Team, sigma: AtomSet, goal: Atom, domain_size: int, construction: str
+    team: Team, holds: _Holds, sigma: AtomSet, goal: Atom, domain_size: int, construction: str
 ) -> CountermodelReport | None:
-    """The report for ``team`` if it satisfies ``sigma`` and fails ``goal``."""
+    """The report for ``team`` if it satisfies ``sigma`` and fails ``goal``,
+    as ``holds`` (``satisfies`` or a grid's memo of it) tells."""
+    if not all(holds(team, hyp) for hyp in sigma.atoms) or holds(team, goal):
+        return None
     status = tuple((hyp, True) for hyp in sigma.atoms)
-    report = CountermodelReport(team, status, goal, domain_size, construction)
-    return report if verify_countermodel(report, sigma, goal) else None
+    return CountermodelReport(team, status, goal, domain_size, construction)
 
 
 def _checked_report(
-    team: Team, sigma: AtomSet, goal: Atom, domain_size: int, construction: str
+    team: Team, holds: _Holds, sigma: AtomSet, goal: Atom, domain_size: int, construction: str
 ) -> CountermodelReport:
-    report = _report(team, sigma, goal, domain_size, construction)
+    report = _report(team, holds, sigma, goal, domain_size, construction)
     if report is None:
         raise VerificationError(
             f"{construction} construction failed verification for goal {goal} "
@@ -80,32 +112,85 @@ def _checked_report(
     return report
 
 
+class _Grid:
+    """The rows of one grid shape, over tokens and sorted attribute positions,
+    with the ``satisfies`` verdict of each atom shape checked on them."""
+
+    def __init__(self, rows: frozenset[Row]):
+        self.rows = rows
+        self.schema: Schema | None = None  # the last caller's, already validated
+        self._verdicts: dict[tuple[int, int, int], bool] = {}
+
+    def team(self, names: tuple[str, ...]) -> Team:
+        """The grid as a team over ``names``; SchemaError if one is invalid."""
+        schema = self.schema
+        if schema is None or schema.attributes != names:
+            schema = self.schema = Schema(names)
+        return Team._trusted(schema, self.rows)
+
+    def holds(self, team: Team, atom: Atom) -> bool:
+        """``satisfies(team, atom)`` for a ``team`` over this grid's rows,
+        checked once per positional normal form of ``atom``."""
+        key = positional_form(atom, team.schema.attributes, len(self.rows))
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = satisfies(team, atom)
+        return verdict
+
+
+_grids: dict[tuple, _Grid] = {}
+
+
+def _grid_rows(
+    arity: int, domain_size: int, published: int, protected: int, bound: int
+) -> frozenset[Row]:
+    """All assignments of {0..domain_size-1} to ``arity`` positions with a
+    nonzero value at a ``published`` position or every value at a
+    ``protected`` position at most ``bound`` (both position bitmasks).
+
+    The rows come from products of per-position value choices, with no
+    test per assignment: the full grid, less its all-zero published slice,
+    plus the part of that slice whose protected values are all at most
+    ``bound``.
+    """
+    tokens = tuple(str(v) for v in range(domain_size))
+
+    def grid(choices: dict[int, tuple[str, ...]]) -> set[Row]:
+        return set(itertools.product(*(choices.get(i, tokens) for i in range(arity))))
+
+    zero = {i: tokens[:1] for i in range(arity) if published >> i & 1}
+    low = {i: tokens[: bound + 1] for i in range(arity) if protected >> i & 1}
+    return frozenset(grid({}) - grid(zero) | grid({**zero, **low}))
+
+
 def _grid_team(
     attrs: Iterable[str],
     domain_size: int,
     published: Iterable[str] = (),
     protected: Iterable[str] = (),
     bound: int = 0,
-) -> Team:
-    """All assignments over ``attrs`` x {0..domain_size-1} with a nonzero
-    ``published`` value or every ``protected`` value at most ``bound``.
+) -> tuple[Team, _Holds]:
+    """The grid over ``attrs`` x {0..domain_size-1} of ``_grid_rows`` as a
+    team over the sorted ``attrs``, with the check of an atom on it.
 
     ``published`` and ``protected`` are disjoint; with no protected
-    attributes every assignment is kept.  The rows come from products of
-    per-attribute value choices, with no test per assignment: the full
-    grid, less its all-zero published slice, plus the part of that slice
-    whose protected values are all at most ``bound``.
+    attributes every assignment is kept.  Grids inside the oracle's grid
+    space come from the shape cache, and their check reads its memo.
     """
     names = tuple(sorted(attrs))
-    tokens = tuple(str(v) for v in range(domain_size))
-
-    def grid(choices: dict[str, tuple[str, ...]]) -> set[tuple[str, ...]]:
-        return set(itertools.product(*(choices.get(a, tokens) for a in names)))
-
-    zero = dict.fromkeys(published, tokens[:1])
-    low = dict.fromkeys(protected, tokens[: bound + 1])
-    rows = grid({}) - grid(zero) | grid({**zero, **low})
-    return Team._trusted(Schema(names), frozenset(rows))
+    key = (
+        len(names),
+        domain_size,
+        position_mask(names, published),
+        position_mask(names, protected),
+        bound,
+    )
+    grid = _grids.get(key)
+    if grid is None:
+        grid = _Grid(_grid_rows(*key))
+        if len(names) <= GRID_SPACE_ATTRIBUTES and domain_size <= GRID_SPACE_DOMAIN:
+            _grids[key] = grid
+    return grid.team(names), grid.holds
 
 
 def ternary_team_size(attribute_count: int, published: int, protected: int) -> int:
@@ -138,8 +223,8 @@ def build_anonymity_countermodel(
             f"cap is {max_attributes} (try a smaller instance)"
         )
 
-    team = _grid_team(attrs, 3, g.published, g.protected)
-    return _checked_report(team, sigma, goal, 3, CONSTRUCTION_TERNARY)
+    team, holds = _grid_team(attrs, 3, g.published, g.protected)
+    return _checked_report(team, holds, sigma, goal, 3, CONSTRUCTION_TERNARY)
 
 
 def build_k_anonymity_countermodel(
@@ -184,8 +269,8 @@ def build_k_anonymity_countermodel(
             raise ResourceError(
                 f"domain {domain} over {len(attrs)} attributes exceeds {max_rows} rows"
             )
-        team = _grid_team(attrs, domain, g.published, g.protected, goal.k - 2)
-        report = _report(team, sigma, goal, domain, CONSTRUCTION_TRUNCATED)
+        team, holds = _grid_team(attrs, domain, g.published, g.protected, goal.k - 2)
+        report = _report(team, holds, sigma, goal, domain, CONSTRUCTION_TRUNCATED)
         if report is not None:
             return report
         domain += 1
@@ -208,14 +293,16 @@ def build_full_grid_countermodel(
         raise ResourceError(
             f"domain {domain} over {len(attrs)} attributes exceeds {max_rows} rows"
         )
-    team = _grid_team(attrs, domain)
-    return _checked_report(team, sigma, goal, domain, CONSTRUCTION_FULL)
+    team, holds = _grid_team(attrs, domain)
+    return _checked_report(team, holds, sigma, goal, domain, CONSTRUCTION_FULL)
 
 
 def witness_report(team: Team, sigma: AtomSet, goal: Atom) -> CountermodelReport:
     """Wrap an explicitly supplied team as a verified countermodel."""
     distinct_values = {v for row in team.rows for v in row}
-    return _checked_report(team, sigma, goal, len(distinct_values), CONSTRUCTION_WITNESS)
+    return _checked_report(
+        team, satisfies, sigma, goal, len(distinct_values), CONSTRUCTION_WITNESS
+    )
 
 
 def candidate_teams(sigma: AtomSet, goal: Atom) -> Iterator[tuple[str, Team]]:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .atoms import Atom
 from .errors import FragmentError, ResourceError
@@ -57,9 +57,32 @@ def normalize(atom: Atom) -> NormalAtom:
     return NormalAtom(pub, frozenset(atom.protected) - pub, atom.k)
 
 
+def position_mask(attributes: Sequence[str], names: Iterable[str]) -> int:
+    """The positions of ``names`` in ``attributes``, as an int bitmask."""
+    mask = 0
+    for name in names:
+        mask |= 1 << attributes.index(name)
+    return mask
+
+
+def positional_form(atom: Atom, attributes: Sequence[str], rows: int) -> tuple[int, int, int]:
+    """``atom``'s normal form over the positions of its attributes in
+    ``attributes``, as far as a team of ``rows`` rows can tell: the
+    published positions, the protected positions less the published ones
+    (both as bitmasks), and k clamped to rows + 1 (no group shows more
+    than ``rows`` values).  Atoms with one positional form hold on the
+    same teams of that size, whatever their attributes are called."""
+    published = position_mask(attributes, atom.published)
+    protected = position_mask(attributes, atom.protected) & ~published
+    return published, protected, min(atom.k, rows + 1)
+
+
 def atom_from_normal(normal: NormalAtom) -> Atom:
     """Canonical sequence form of a normal atom (attributes sorted)."""
     return Atom(tuple(sorted(normal.published)), tuple(sorted(normal.protected)), normal.k)
+
+
+_NO_ATTRIBUTES: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -71,7 +94,7 @@ class AtomSet:
     """
 
     atoms: tuple[Atom, ...]
-    extra_attributes: frozenset[str] = frozenset()
+    extra_attributes: frozenset[str] = _NO_ATTRIBUTES
 
     def __post_init__(self) -> None:
         deduped: list[Atom] = []
@@ -83,14 +106,19 @@ class AtomSet:
                 seen.add(atom)
                 deduped.append(atom)
         object.__setattr__(self, "atoms", tuple(deduped))
-        object.__setattr__(self, "extra_attributes", frozenset(self.extra_attributes))
+        # sets without extra attributes share one empty frozenset (each
+        # empty frozenset is an object of its own, about 200 bytes)
+        extra = frozenset(self.extra_attributes) or _NO_ATTRIBUTES
+        object.__setattr__(self, "extra_attributes", extra)
 
     @classmethod
     def of(cls, *atoms: Atom, extra_attributes: Iterable[str] = ()) -> "AtomSet":
         return cls(tuple(atoms), frozenset(extra_attributes))
 
-    @property
+    @cached_property
     def attributes(self) -> frozenset[str]:
+        """Every attribute of the set, computed on first read and then kept
+        (the fields are frozen); it takes no part in equality or hashing."""
         out = set(self.extra_attributes)
         for atom in self.atoms:
             out |= atom.attributes()

@@ -6,7 +6,13 @@ verify their output, and returns the first one built as the refuter
 (they are complete refuters on their fragments, which matters because
 some non-entailed claims have no refuter over a two-valued domain);
 otherwise it checks every team over a small value domain or samples
-some.
+some.  The candidates come from ``countermodel``'s shape cache: every
+grid inside the oracle's grid space (at most 4 attributes over at most 3
+values) is built once per shape and each atom shape is checked on it
+once, whichever engine or oracle call asks first, so an entailed
+instance costs a few memo reads before the enumeration.  The cache knows
+nothing of subsumption; a candidate is returned only when its builder's
+check says it refutes.
 
 Exhaustive mode builds no team to check them: per atom it computes one
 bitmap, one bit per team over the grid of assignments, straight from
@@ -30,9 +36,9 @@ from enum import Enum
 from typing import Sequence
 
 from .atoms import Atom, satisfies
-from .countermodel import candidate_teams
+from .countermodel import GRID_SPACE_ATTRIBUTES, GRID_SPACE_DOMAIN, candidate_teams
 from .errors import ConfigError
-from .inference import AtomSet, universe
+from .inference import AtomSet, positional_form, universe
 from .team import Schema, Team
 
 EXHAUSTIVE = "exhaustive"
@@ -54,10 +60,15 @@ class OracleConfig:
     def __post_init__(self) -> None:
         if self.mode not in (EXHAUSTIVE, RANDOM):
             raise ConfigError(f"mode must be {EXHAUSTIVE!r} or {RANDOM!r}, got {self.mode!r}")
-        if self.domain_size not in (2, 3):
-            raise ConfigError(f"domain_size must be 2 or 3, got {self.domain_size}")
-        if not 1 <= self.attribute_limit <= 4:
-            raise ConfigError(f"attribute_limit must be between 1 and 4, got {self.attribute_limit}")
+        if self.domain_size not in range(2, GRID_SPACE_DOMAIN + 1):
+            raise ConfigError(
+                f"domain_size must be 2 or {GRID_SPACE_DOMAIN}, got {self.domain_size}"
+            )
+        if not 1 <= self.attribute_limit <= GRID_SPACE_ATTRIBUTES:
+            raise ConfigError(
+                f"attribute_limit must be between 1 and {GRID_SPACE_ATTRIBUTES}, "
+                f"got {self.attribute_limit}"
+            )
         if self.mode == EXHAUSTIVE and self.domain_size**self.attribute_limit > _MAX_GRID:
             raise ConfigError(
                 f"exhaustive mode over {self.attribute_limit} attributes and "
@@ -116,11 +127,11 @@ class _GridCache:
       ``not (>= 1) or (>= k)``.
     * The atom's mask is the AND over groups; k = 1 gives every team.
 
-    Masks are keyed by positional normal form: the published and the
-    protected index sets (shared positions cancel from the protected
-    side) and k clamped to g + 1, since no group shows more than g values.
-    Keys over one shape are therefore finite: 3^arity sides times g + 1
-    multiplicities.
+    Masks are keyed by positional normal form (``positional_form``): the
+    published and the protected position bitmasks (shared positions
+    cancel from the protected side) and k clamped to g + 1, since no group
+    shows more than g values.  Keys over one shape are therefore finite: 3^arity
+    sides times g + 1 multiplicities.
     """
 
     def __init__(self, arity: int, domain: tuple[str, ...]):
@@ -128,7 +139,7 @@ class _GridCache:
         self.count = 1 << len(self.grid)
         self.every_team = (1 << self.count) - 1
         self._containing = [self._teams_containing(j) for j in range(len(self.grid))]
-        self._masks: dict[tuple[frozenset[int], frozenset[int], int], int] = {}
+        self._masks: dict[tuple[int, int, int], int] = {}
 
     def _teams_containing(self, row: int) -> int:
         """``R_row``: one period, 2^row clear bits then 2^row set bits,
@@ -140,15 +151,15 @@ class _GridCache:
     def mask(self, atom: Atom, attributes: Sequence[str]) -> int:
         """The teams satisfying ``atom``, whose attributes sit at their
         positions in ``attributes``."""
-        published = frozenset(attributes.index(a) for a in atom.published)
-        protected = frozenset(attributes.index(a) for a in atom.protected) - published
-        key = (published, protected, min(atom.k, len(self.grid) + 1))
+        key = positional_form(atom, attributes, len(self.grid))
         cached = self._masks.get(key)
         if cached is None:
             cached = self._masks[key] = self._build(*key)
         return cached
 
-    def _build(self, published: frozenset[int], protected: frozenset[int], k: int) -> int:
+    def _build(self, published_mask: int, protected_mask: int, k: int) -> int:
+        published = [i for i in range(published_mask.bit_length()) if published_mask >> i & 1]
+        protected = [i for i in range(protected_mask.bit_length()) if protected_mask >> i & 1]
         groups: dict[tuple[str, ...], dict[tuple[str, ...], int]] = defaultdict(dict)
         for row, containing in zip(self.grid, self._containing):
             values = groups[tuple(row[i] for i in published)]

@@ -1,18 +1,21 @@
-"""The benchmark's reference checks on the saturation workload, at its quick
-sizes (about a second), so that each test run also checks the outputs the
-benchmark checks."""
+"""The benchmark's reference checks on the saturation and the plain-fragment
+sweep workloads, at their quick sizes (about a second each), so that each
+test run also checks the outputs the benchmark checks."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_entail_k_quick_run_is_correct():
+@pytest.mark.parametrize("workload", ["entail-k", "entail-sweep"])
+def test_quick_run_is_correct(workload):
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--quick", "--workload", "entail-k"],
+        [sys.executable, "perfbench/run.py", "--quick", "--workload", workload],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr

@@ -6,19 +6,27 @@ from anonatom import (
     Atom,
     AtomSet,
     FragmentError,
+    OracleConfig,
+    OracleStatus,
     ResourceError,
+    SchemaError,
     Team,
+    Verdict,
     VerificationError,
     build_anonymity_countermodel,
     build_full_grid_countermodel,
     build_k_anonymity_countermodel,
     check_anonymity,
     check_k_anonymity,
+    entails_anonymity,
+    satisfies,
+    semantic_entails,
     verify_countermodel,
     witness_report,
 )
-from anonatom.countermodel import ternary_team_size
-from conftest import TRANSITIVITY_ATTRS, TRANSITIVITY_ROWS
+from anonatom import countermodel
+from anonatom.countermodel import _grid_team, ternary_team_size
+from conftest import TRANSITIVITY_ATTRS, TRANSITIVITY_ROWS, all_normal_shapes
 
 
 def atom(pub, prot, k=2):
@@ -188,3 +196,88 @@ class TestMutation:
                 flips += 1
         # deleting the all-zero pivot row makes the goal hold again
         assert flips >= 1
+
+
+def grid_rows(attrs, domain, pub, prot, bound):
+    """Independent enumeration of the grid condition: a nonzero published
+    value, or every protected value at most ``bound``."""
+    rows = []
+    for cells in itertools.product([str(v) for v in range(domain)], repeat=len(attrs)):
+        values = dict(zip(attrs, cells))
+        if any(values[x] != "0" for x in pub) or all(int(values[y]) <= bound for y in prot):
+            rows.append(cells)
+    return rows
+
+
+class TestShapeCache:
+    @pytest.mark.parametrize(
+        "attrs, domain, bound",
+        [(("a", "b"), 2, 0), (("a", "b"), 3, 0), (("a", "b"), 3, 1),
+         (("a", "b", "c"), 2, 0), (("a", "b", "c"), 3, 0), (("a", "b", "c"), 3, 1)],
+    )
+    def test_memoised_verdicts_match_fresh_grids(self, attrs, domain, bound):
+        renamed = dict(zip(attrs, ("p", "q", "r")))
+        countermodel._grids.clear()
+        for pub, prot in all_normal_shapes(attrs):
+            fresh = Team.of(attrs, grid_rows(attrs, domain, pub, prot, bound))
+            team, holds = _grid_team(attrs, domain, pub, prot, bound)
+            # the same shape under other names reads the memo the first call filled
+            other, other_holds = _grid_team(renamed.values(), domain, [renamed[a] for a in pub],
+                                            [renamed[a] for a in prot], bound)
+            assert team.rows == fresh.rows and other.rows is team.rows
+            for sides in all_normal_shapes(attrs):
+                for k in range(1, len(fresh) + 3):
+                    shape = Atom(*sides, k)
+                    expected = satisfies(fresh, shape)
+                    assert holds(team, shape) == expected, (pub, prot, shape)
+                    moved = Atom(*([renamed[a] for a in side] for side in sides), k)
+                    assert other_holds(other, moved) == expected, (pub, prot, moved)
+        assert len(countermodel._grids) == 3 ** len(attrs)
+
+    def test_renamed_instances_share_one_entry(self):
+        countermodel._grids.clear()
+        first_sigma, second_sigma = AtomSet.of(atom("y", "x")), AtomSet.of(atom("q", "p"))
+        first = entails_anonymity(first_sigma, atom("x", "y")).countermodel
+        second = entails_anonymity(second_sigma, atom("p", "q")).countermodel
+        assert len(countermodel._grids) == 1
+        assert first.team.schema.attributes == ("x", "y")
+        assert second.team.schema.attributes == ("p", "q")
+        assert second.team.rows is first.team.rows
+        assert verify_countermodel(first, first_sigma, atom("x", "y"))
+        assert verify_countermodel(second, second_sigma, atom("p", "q"))
+
+    def test_cached_shape_still_checks_attribute_names(self):
+        countermodel._grids.clear()
+        build_anonymity_countermodel(AtomSet.of(), atom("x", "y"))
+        with pytest.raises(SchemaError):
+            build_anonymity_countermodel(AtomSet.of(), atom(["x y"], ["z"]))
+        assert len(countermodel._grids) == 1
+        team = build_anonymity_countermodel(AtomSet.of(), atom("x", "y")).team
+        assert team.schema.attributes == ("x", "y")
+
+    def test_only_the_oracle_grid_space_is_cached(self):
+        countermodel._grids.clear()
+        build_anonymity_countermodel(AtomSet.of(), atom("abcd", "e"))  # 5 attributes
+        build_k_anonymity_countermodel(AtomSet.of(), atom("x", "y", 3))  # domain 4
+        build_full_grid_countermodel(AtomSet.of(atom("x", "y", 4)), atom("x", "x"))  # domain 4
+        assert not countermodel._grids
+        build_anonymity_countermodel(AtomSet.of(), atom("abc", "d"))  # 4 attributes, 81 rows
+        assert len(countermodel._grids) == 1
+
+    def test_engine_and_oracle_build_and_check_a_refuter_once(self, monkeypatch):
+        countermodel._grids.clear()
+        built, checked = [], []
+        build = countermodel._grid_rows
+        monkeypatch.setattr(countermodel, "_grid_rows", lambda *key: built.append(key) or build(*key))
+        monkeypatch.setattr(countermodel, "satisfies",
+                            lambda team, a: checked.append(a) or satisfies(team, a))
+        sigma, goal = AtomSet.of(atom("x", "y"), atom("y", "z")), atom("x", "z")
+        engine = entails_anonymity(sigma, goal)
+        oracle = semantic_entails(sigma, goal, OracleConfig(domain_size=2, attribute_limit=3))
+        assert engine.verdict is Verdict.NOT_DERIVABLE
+        assert oracle.status is OracleStatus.REFUTED
+        assert oracle.refuter == engine.countermodel.team
+        assert len(built) == 1
+        assert checked == [*sigma.atoms, goal]
+        monkeypatch.undo()
+        assert verify_countermodel(engine.countermodel, sigma, goal)

@@ -21,7 +21,7 @@ from anonatom import (
     verify_countermodel,
     verify_derivation,
 )
-from anonatom.inference import _Closure, explain_derivation
+from anonatom.inference import _Closure, explain_derivation, positional_form
 from conftest import all_normal_shapes
 
 
@@ -50,6 +50,34 @@ class TestNormalize:
         norm = normalize(atom(("x", "x"), ("y", "y")))
         assert norm.published == frozenset("x")
         assert norm.protected == frozenset("y")
+
+    def test_positional_form(self):
+        attrs = ("x", "y", "z")
+        assert positional_form(atom("zx", "yxx", 3), attrs, 8) == (0b101, 0b010, 3)
+        # no group of a 4-row team shows more than 4 values
+        clamped = positional_form(atom("x", "y", 5), attrs, 4)
+        assert positional_form(atom("x", "y", 50), attrs, 4) == clamped
+        assert positional_form(atom("x", "y", 4), attrs, 4)[2] == 4
+
+
+class TestAtomSet:
+    def test_attributes_computed_once(self):
+        first = AtomSet.of(atom("x", "y"), atom("y", "zy"), extra_attributes=("u",))
+        same = AtomSet.of(atom("x", "y"), atom("y", "zy"), extra_attributes=("u",))
+        attrs = first.attributes
+        assert attrs == frozenset("xyzu")
+        assert first.attributes is attrs
+        # the kept value takes no part in equality or hashing
+        assert first == same and hash(first) == hash(same)
+        assert same.attributes == attrs
+        assert first == same and hash(first) == hash(same)
+        assert first != AtomSet.of(atom("x", "y"), atom("y", "zy"))
+
+    def test_sets_without_extra_attributes_share_one_empty_set(self):
+        empty = AtomSet.of().extra_attributes
+        assert AtomSet.of(atom("x", "y")).extra_attributes is empty
+        assert AtomSet((atom("x", "y"),), frozenset()).extra_attributes is empty
+        assert AtomSet.of(extra_attributes="u").extra_attributes == frozenset("u")
 
 
 class TestInconsistency:

@@ -10,13 +10,15 @@ from anonatom import (
     OracleConfig,
     OracleStatus,
     Team,
+    entails_anonymity,
     entails_k_simple,
     random_team,
     satisfies,
     semantic_entails,
 )
-from anonatom import oracle
+from anonatom import countermodel, inference, oracle
 from anonatom.countermodel import candidate_teams
+from conftest import all_normal_shapes
 
 
 def atom(pub, prot, k=2):
@@ -174,6 +176,33 @@ class TestExhaustive:
             assert (oracle.status is OracleStatus.REFUTED) == (not engine.derivable)
             if oracle.status is OracleStatus.ENTAILED:
                 assert engine.derivable
+
+
+class TestIndependence:
+    def test_oracle_does_not_lean_on_the_engine_rule(self, monkeypatch):
+        # With the engine's subsumption rule unusable, and the truncated
+        # builder's guard told that every goal is subsumed (so that it never
+        # builds), the oracle still decides a 3-attribute plain sample.
+        rng = random.Random(31)
+        shapes = [Atom(pub, prot) for pub, prot in all_normal_shapes(("a", "b", "c"))]
+        sample = []
+        for _ in range(300):
+            sigma = AtomSet.of(*rng.sample(shapes, rng.randint(0, 3)))
+            goal = rng.choice(shapes)
+            sample.append((sigma, goal, entails_anonymity(sigma, goal).derivable))
+        assert 0 < sum(derivable for *_, derivable in sample) < len(sample)
+
+        def unusable(sigma, goal):
+            raise AssertionError("the oracle consulted the engine's subsumption rule")
+
+        monkeypatch.setattr(inference, "_subsuming", unusable)
+        monkeypatch.setattr(countermodel, "_subsuming", lambda sigma, goal: goal)
+        countermodel._grids.clear()
+        for sigma, goal, derivable in sample:
+            result = semantic_entails(sigma, goal, CFG2)
+            assert result.status is (OracleStatus.ENTAILED if derivable else OracleStatus.REFUTED)
+            if not derivable:
+                assert refutes(result.refuter, sigma, goal)
 
 
 class TestBitmaps:
