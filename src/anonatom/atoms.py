@@ -7,12 +7,10 @@ published values never narrows their protected values below k candidates.
 k = 2 is the plain anonymity atom: for every row there is another row
 with the same published tuple and a different protected tuple.
 
-The production checkers (anonymity, k-anonymity, the degree, the audit
-counts, dependence and independence) all derive from one grouping pass,
-``_groups``.  The per-row witness search, the inclusion-atom translation
-and the counting-based criterion (which looks similar but is genuinely
-different) are reference implementations: independently coded, exported,
-and kept only so that tests can cross-check the production checkers.
+The checkers (anonymity, k-anonymity, the degree, the audit counts,
+dependence and independence) all derive from one grouping pass,
+``_groups``.  Independently coded reference formulations, for tests to
+cross-check them against, live in :mod:`anonatom.reference`.
 
 Conventions the definitions leave open: the empty team satisfies every
 atom; an empty protected side with k >= 2 holds only on the empty team
@@ -195,58 +193,6 @@ def check_k_anonymity(team: Team, published: Sequence[str], protected: Sequence[
     return all(len(set(values)) >= k for values in _groups(team, published, protected).values())
 
 
-def check_k_anonymity_existential(
-    team: Team, published: Sequence[str], protected: Sequence[str], k: int
-) -> bool:
-    """Reference implementation, witness-search formulation: for every
-    row, find k rows that agree with it on ``published`` and carry
-    pairwise distinct protected tuples.
-
-    Scans the whole team per row instead of grouping; agrees with
-    ``check_k_anonymity`` on every input (a tested equivalence).
-    """
-    _positive_multiplicity(k)
-    pub = _extractor(team, published)
-    prot = _extractor(team, protected)
-    rows = list(team.rows)
-    for row in rows:
-        key = pub(row)
-        witnesses: set[Row] = set()
-        for other in rows:
-            if pub(other) == key:
-                witnesses.add(prot(other))
-                if len(witnesses) >= k:
-                    break
-        if len(witnesses) < k:
-            return False
-    return True
-
-
-def check_k_counting_variant(
-    team: Team, published: Sequence[str], protected: Sequence[str], k: int
-) -> bool:
-    """Reference implementation of the counting criterion: every row must
-    have at least k *rows* (not values) agreeing on ``published`` and
-    differing on the protected tuple.  Not equivalent to
-    ``check_k_anonymity``; exported so the difference can be exhibited."""
-    _positive_multiplicity(k)
-    pub = _extractor(team, published)
-    prot = _extractor(team, protected)
-    rows = list(team.rows)
-    for row in rows:
-        key = pub(row)
-        value = prot(row)
-        differing = 0
-        for other in rows:
-            if pub(other) == key and prot(other) != value:
-                differing += 1
-                if differing >= k:
-                    break
-        if differing < k:
-            return False
-    return True
-
-
 def check_dependence(team: Team, determinants: Sequence[str], dependents: Sequence[str]) -> bool:
     """Functional dependence: within every determinant-group the dependent
     tuple is constant."""
@@ -276,27 +222,6 @@ def check_independence(team: Team, left: Sequence[str], right: Sequence[str]) ->
     seen = [set(values) for values in _groups(team, left, right).values()]
     rights = set().union(*seen)
     return all(len(values) == len(rights) for values in seen)
-
-
-def check_anonymity_via_inclusion(
-    team: Team, published: Sequence[str], protected: Sequence[str]
-) -> bool:
-    """Reference implementation, anonymity via its inclusion-logic
-    reading: per row, search for a witness tuple u different from the
-    row's protected tuple such that (published, u) occurs as a
-    (published, protected) tuple of some row.
-
-    Must agree with ``check_anonymity`` everywhere (a tested equivalence).
-    """
-    pub = _extractor(team, published)
-    prot = _extractor(team, protected)
-    pairs = {(pub(row), prot(row)) for row in team.rows}
-    for row in team.rows:
-        key = pub(row)
-        value = prot(row)
-        if not any(pk == key and pv != value for pk, pv in pairs):
-            return False
-    return True
 
 
 def anonymity_degree(team: Team, published: Sequence[str], protected: Sequence[str]) -> Degree:

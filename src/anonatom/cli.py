@@ -163,6 +163,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if args.min_k is not None and args.min_k < 1:
+        raise ConfigError(f"--min-k must be at least 1, got {args.min_k}")
     loaded = read_team_csv(args.team)
     team = loaded.team
     publish = _split_names(args.publish)

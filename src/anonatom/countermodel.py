@@ -21,40 +21,36 @@ Three constructions are used, all over decimal string tokens "0", "1",
   as every hypothesis multiplicity does.
 
 Builders verify their own output with the checkers and raise
-``VerificationError`` instead of returning an unverified report.
+``VerificationError`` instead of returning an unverified report.  The
+public builders check their fragment and put ``(sigma, goal)`` in normal
+form (``inference._Query``); the engines and the oracle pass the form
+they hold straight to the constructions.  The size caps are the module
+constants below, checked before any row is built.
 
 A grid depends only on its shape: the number of attributes, the domain
-size, the positions of the goal's published and protected attributes
-among the sorted attribute names, and the truncation bound.  Grids
-inside the oracle's grid space (at most ``GRID_SPACE_ATTRIBUTES``
-attributes over at most ``GRID_SPACE_DOMAIN`` values, so at most 81
-rows) are built once per shape and kept, with a memo of ``satisfies``
-verdicts on them keyed by the atom's positional normal form, so the
-engines and the oracle build each small grid once and check each atom
-shape on it once.  The cache is bounded by that grid space: a few
-hundred shapes, each with at most 3^4 atom sides times 82
-multiplicities.  Larger grids are built and checked on every call.
-Each team still carries the instance's own attribute names, and
-``verify_countermodel`` always runs the checkers on the team itself.
+size, the goal's published and protected masks over the sorted
+attribute names, and the truncation bound.  Grids inside the oracle's
+grid space (at most ``GRID_SPACE_ATTRIBUTES`` attributes over at most
+``GRID_SPACE_DOMAIN`` values, so at most 81 rows) are built once per
+shape and kept, with a memo of ``satisfies`` verdicts on them keyed by
+the atom's form, k clamped to the grid's rows + 1, so the engines and
+the oracle build each small grid once and check each atom shape on it
+once.  The cache is bounded by that grid space: a few hundred shapes,
+each with at most 3^4 atom sides times 82 multiplicities.  Larger grids
+are built and checked on every call.  Each team still carries the
+instance's own attribute names, and ``verify_countermodel`` always runs
+the checkers on the team itself.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .atoms import Atom, satisfies
 from .errors import FragmentError, ResourceError, VerificationError
-from .inference import (
-    AtomSet,
-    _inconsistent_member,
-    _subsuming,
-    normalize,
-    position_mask,
-    positional_form,
-    universe,
-)
+from .inference import AtomSet, _Form, _inconsistent_member, _Query, _subsuming
 from .team import Row, Schema, Team
 
 CONSTRUCTION_TERNARY = "ternary-grid"
@@ -66,6 +62,10 @@ CONSTRUCTION_WITNESS = "explicit-witness"
 # attributes over at most this many values.  Only grids inside it are cached.
 GRID_SPACE_ATTRIBUTES = 4
 GRID_SPACE_DOMAIN = 3
+
+MAX_ATTRIBUTES = 12  # of a ternary grid, which has 3^n assignments
+MAX_DOMAIN = 64  # the truncated grid's largest domain
+MAX_ROWS = 2_000_000  # assignments of a truncated or full grid
 
 
 @dataclass(frozen=True)
@@ -86,27 +86,30 @@ def verify_countermodel(report: CountermodelReport, sigma: AtomSet, goal: Atom) 
     return all(satisfies(team, hyp) for hyp in sigma.atoms) and not satisfies(team, goal)
 
 
-_Holds = Callable[[Team, Atom], bool]
+_Holds = Callable[[Team, Atom, _Form], bool]
 
 
 def _report(
-    team: Team, holds: _Holds, sigma: AtomSet, goal: Atom, domain_size: int, construction: str
+    team: Team, holds: _Holds, query: _Query, domain_size: int, construction: str
 ) -> CountermodelReport | None:
-    """The report for ``team`` if it satisfies ``sigma`` and fails ``goal``,
-    as ``holds`` (``satisfies`` or a grid's memo of it) tells."""
-    if not all(holds(team, hyp) for hyp in sigma.atoms) or holds(team, goal):
+    """The report for ``team`` if it satisfies the query's hypotheses and
+    fails its goal, as ``holds`` (``satisfies`` or a grid's memo of it)
+    tells."""
+    goal = query.goal
+    satisfied = all(holds(team, hyp, form) for hyp, form in query.hyps)
+    if not satisfied or holds(team, goal, query.goal_form):
         return None
-    status = tuple((hyp, True) for hyp in sigma.atoms)
+    status = tuple((hyp, True) for hyp in query.sigma.atoms)
     return CountermodelReport(team, status, goal, domain_size, construction)
 
 
 def _checked_report(
-    team: Team, holds: _Holds, sigma: AtomSet, goal: Atom, domain_size: int, construction: str
+    team: Team, holds: _Holds, query: _Query, domain_size: int, construction: str
 ) -> CountermodelReport:
-    report = _report(team, holds, sigma, goal, domain_size, construction)
+    report = _report(team, holds, query, domain_size, construction)
     if report is None:
         raise VerificationError(
-            f"{construction} construction failed verification for goal {goal} "
+            f"{construction} construction failed verification for goal {query.goal} "
             f"(is the goal actually derivable from the hypotheses?)"
         )
     return report
@@ -114,12 +117,13 @@ def _checked_report(
 
 class _Grid:
     """The rows of one grid shape, over tokens and sorted attribute positions,
-    with the ``satisfies`` verdict of each atom shape checked on them."""
+    with the ``satisfies`` verdict of each atom form checked on them."""
 
     def __init__(self, rows: frozenset[Row]):
         self.rows = rows
+        self.most = len(rows) + 1  # no group of these rows shows more values
         self.schema: Schema | None = None  # the last caller's, already validated
-        self._verdicts: dict[tuple[int, int, int], bool] = {}
+        self._verdicts: dict[_Form, bool] = {}
 
     def team(self, names: tuple[str, ...]) -> Team:
         """The grid as a team over ``names``; SchemaError if one is invalid."""
@@ -128,13 +132,15 @@ class _Grid:
             schema = self.schema = Schema(names)
         return Team._trusted(schema, self.rows)
 
-    def holds(self, team: Team, atom: Atom) -> bool:
+    def holds(self, team: Team, atom: Atom, form: _Form) -> bool:
         """``satisfies(team, atom)`` for a ``team`` over this grid's rows,
-        checked once per positional normal form of ``atom``."""
-        key = positional_form(atom, team.schema.attributes, len(self.rows))
-        verdict = self._verdicts.get(key)
+        checked once per ``form`` of ``atom`` over the team's attributes,
+        with k clamped to rows + 1."""
+        if form[2] > self.most:
+            form = (form[0], form[1], self.most)
+        verdict = self._verdicts.get(form)
         if verdict is None:
-            verdict = self._verdicts[key] = satisfies(team, atom)
+            verdict = self._verdicts[form] = satisfies(team, atom)
         return verdict
 
 
@@ -164,46 +170,44 @@ def _grid_rows(
 
 
 def _grid_team(
-    attrs: Iterable[str],
+    names: tuple[str, ...],
     domain_size: int,
-    published: Iterable[str] = (),
-    protected: Iterable[str] = (),
+    published: int = 0,
+    protected: int = 0,
     bound: int = 0,
 ) -> tuple[Team, _Holds]:
-    """The grid over ``attrs`` x {0..domain_size-1} of ``_grid_rows`` as a
-    team over the sorted ``attrs``, with the check of an atom on it.
+    """The grid of ``_grid_rows`` over the sorted ``names`` x
+    {0..domain_size-1} as a team over ``names``, with the check of an atom
+    on it; ResourceError past ``MAX_ROWS`` assignments.
 
-    ``published`` and ``protected`` are disjoint; with no protected
-    attributes every assignment is kept.  Grids inside the oracle's grid
-    space come from the shape cache, and their check reads its memo.
+    ``published`` and ``protected`` are disjoint masks over ``names``; with
+    no protected attributes every assignment is kept.  Grids inside the
+    oracle's grid space come from the shape cache, and their check reads
+    its memo.
     """
-    names = tuple(sorted(attrs))
-    key = (
-        len(names),
-        domain_size,
-        position_mask(names, published),
-        position_mask(names, protected),
-        bound,
-    )
+    n = len(names)
+    if domain_size**n > MAX_ROWS:
+        raise ResourceError(f"domain {domain_size} over {n} attributes exceeds {MAX_ROWS} rows")
+    key = (n, domain_size, published, protected, bound)
     grid = _grids.get(key)
     if grid is None:
         grid = _Grid(_grid_rows(*key))
-        if len(names) <= GRID_SPACE_ATTRIBUTES and domain_size <= GRID_SPACE_DOMAIN:
+        if n <= GRID_SPACE_ATTRIBUTES and domain_size <= GRID_SPACE_DOMAIN:
             _grids[key] = grid
     return grid.team(names), grid.holds
 
 
-def ternary_team_size(attribute_count: int, published: int, protected: int) -> int:
-    """Closed form for the ternary grid's row count with disjoint sides:
-    3^|W| minus the rows with an all-zero published tuple and a not-all-zero
-    protected tuple."""
-    free = attribute_count - published - protected
-    return 3**attribute_count - (3**free) * (3**protected - 1)
+def _protecting(sigma: AtomSet, goal: Atom) -> _Query:
+    """The query, if its goal protects something after cancellation."""
+    query = _Query(sigma, goal)
+    if not query.goal_form[1]:
+        raise ValueError(
+            "goal protects nothing after cancellation; use build_full_grid_countermodel"
+        )
+    return query
 
 
-def build_anonymity_countermodel(
-    sigma: AtomSet, goal: Atom, *, max_attributes: int = 12
-) -> CountermodelReport:
+def build_anonymity_countermodel(sigma: AtomSet, goal: Atom) -> CountermodelReport:
     """Ternary-grid refuter for a non-derivable plain-fragment goal.
 
     Requires a goal whose protected side survives normalization; goals
@@ -211,29 +215,22 @@ def build_anonymity_countermodel(
     """
     if goal.k != 2 or any(a.k != 2 for a in sigma.atoms):
         raise FragmentError("the ternary construction covers multiplicity-2 atoms only")
-    g = normalize(goal)
-    if not g.protected:
-        raise ValueError(
-            "goal protects nothing after cancellation; use build_full_grid_countermodel"
-        )
-    attrs = universe(sigma, goal)
-    if len(attrs) > max_attributes:
+    return _ternary(_protecting(sigma, goal))
+
+
+def _ternary(query: _Query) -> CountermodelReport:
+    n = len(query.attrs)
+    if n > MAX_ATTRIBUTES:
         raise ResourceError(
-            f"{len(attrs)} attributes would enumerate 3^{len(attrs)} assignments; "
-            f"cap is {max_attributes} (try a smaller instance)"
+            f"{n} attributes would enumerate 3^{n} assignments; "
+            f"cap is {MAX_ATTRIBUTES} (try a smaller instance)"
         )
+    published, protected, _ = query.goal_form
+    team, holds = _grid_team(query.attrs, 3, published, protected)
+    return _checked_report(team, holds, query, 3, CONSTRUCTION_TERNARY)
 
-    team, holds = _grid_team(attrs, 3, g.published, g.protected)
-    return _checked_report(team, holds, sigma, goal, 3, CONSTRUCTION_TERNARY)
 
-
-def build_k_anonymity_countermodel(
-    sigma: AtomSet,
-    goal: Atom,
-    *,
-    max_domain: int = 64,
-    max_rows: int = 2_000_000,
-) -> CountermodelReport:
+def build_k_anonymity_countermodel(sigma: AtomSet, goal: Atom) -> CountermodelReport:
     """Truncated-grid refuter for a non-derivable simple k-atom goal.
 
     The domain starts at max(3, goal.k + largest hypothesis multiplicity)
@@ -245,63 +242,57 @@ def build_k_anonymity_countermodel(
             raise FragmentError(f"{atom} is not simple; the truncated grid needs |protected| = 1")
     if goal.k < 2:
         raise ValueError("multiplicity-1 goals hold everywhere; nothing to refute")
-    g = normalize(goal)
-    if not g.protected:
-        raise ValueError(
-            "goal protects nothing after cancellation; use build_full_grid_countermodel"
-        )
+    return _truncated(_protecting(sigma, goal))
+
+
+def _truncated(query: _Query) -> CountermodelReport:
     # guard the documented precondition (a non-derivable instance): when the
     # goal follows from the hypotheses no truncation can ever verify
-    bad = _inconsistent_member(sigma)
+    bad = _inconsistent_member(query.hyps)
     if bad is not None:
         raise ValueError(
             f"hypotheses are inconsistent ({bad} holds on the empty team only); "
             "every goal is derivable, nothing to refute"
         )
-    hyp = _subsuming(sigma, goal)
+    hyp = _subsuming(query.hyps, query.goal_form)
     if hyp is not None:
         raise ValueError(f"{hyp} subsumes the goal; the entailment holds, nothing to refute")
-    attrs = universe(sigma, goal)
-    max_mult = max((a.k for a in sigma.atoms), default=1)
-    domain = max(3, goal.k + max(1, max_mult))
-    while domain <= max_domain:
-        if domain ** len(attrs) > max_rows:
-            raise ResourceError(
-                f"domain {domain} over {len(attrs)} attributes exceeds {max_rows} rows"
-            )
-        team, holds = _grid_team(attrs, domain, g.published, g.protected, goal.k - 2)
-        report = _report(team, holds, sigma, goal, domain, CONSTRUCTION_TRUNCATED)
+    published, protected, k = query.goal_form
+    max_mult = max((form[2] for _, form in query.hyps), default=1)
+    domain = max(3, k + max(1, max_mult))
+    while domain <= MAX_DOMAIN:
+        team, holds = _grid_team(query.attrs, domain, published, protected, k - 2)
+        report = _report(team, holds, query, domain, CONSTRUCTION_TRUNCATED)
         if report is not None:
             return report
         domain += 1
     raise ResourceError(
-        f"no refuting truncation found up to domain size {max_domain} for goal {goal}"
+        f"no refuting truncation found up to domain size {MAX_DOMAIN} for goal {query.goal}"
     )
 
 
-def build_full_grid_countermodel(
-    sigma: AtomSet, goal: Atom, *, max_rows: int = 2_000_000
-) -> CountermodelReport:
+def build_full_grid_countermodel(sigma: AtomSet, goal: Atom) -> CountermodelReport:
     """Full-grid refuter for goals that hold on the empty team only
     (protected side empty after cancellation, k >= 2)."""
-    g = normalize(goal)
-    if g.protected or g.k < 2:
+    query = _Query(sigma, goal)
+    _, protected, k = query.goal_form
+    if protected or k < 2:
         raise ValueError("the full grid refutes empty-protected goals with k >= 2 only")
-    attrs = universe(sigma, goal)
-    domain = max(2, max((a.k for a in sigma.atoms), default=2))
-    if domain ** len(attrs) > max_rows:
-        raise ResourceError(
-            f"domain {domain} over {len(attrs)} attributes exceeds {max_rows} rows"
-        )
-    team, holds = _grid_team(attrs, domain)
-    return _checked_report(team, holds, sigma, goal, domain, CONSTRUCTION_FULL)
+    return _full_grid(query)
+
+
+def _full_grid(query: _Query) -> CountermodelReport:
+    domain = max(2, max((form[2] for _, form in query.hyps), default=2))
+    team, holds = _grid_team(query.attrs, domain)
+    return _checked_report(team, holds, query, domain, CONSTRUCTION_FULL)
 
 
 def witness_report(team: Team, sigma: AtomSet, goal: Atom) -> CountermodelReport:
     """Wrap an explicitly supplied team as a verified countermodel."""
     distinct_values = {v for row in team.rows for v in row}
     return _checked_report(
-        team, satisfies, sigma, goal, len(distinct_values), CONSTRUCTION_WITNESS
+        team, lambda team, atom, _: satisfies(team, atom), _Query(sigma, goal),
+        len(distinct_values), CONSTRUCTION_WITNESS,
     )
 
 
@@ -313,20 +304,24 @@ def candidate_teams(sigma: AtomSet, goal: Atom) -> Iterator[tuple[str, Team]]:
     small-domain enumeration alone can (some non-entailed plain-fragment
     claims have no two-valued countermodel at all).
     """
-    g = normalize(goal)
-    if not g.protected and g.k >= 2:
+    return _candidates(_Query(sigma, goal))
+
+
+def _candidates(query: _Query) -> Iterator[tuple[str, Team]]:
+    _, protected, k = query.goal_form
+    if not protected and k >= 2:
         try:
-            yield CONSTRUCTION_FULL, build_full_grid_countermodel(sigma, goal).team
+            yield CONSTRUCTION_FULL, _full_grid(query).team
         except (ResourceError, VerificationError):
             pass
         return
-    if goal.k == 2 and all(a.k == 2 for a in sigma.atoms):
+    if k == 2 and all(form[2] == 2 for _, form in query.hyps):
         try:
-            yield CONSTRUCTION_TERNARY, build_anonymity_countermodel(sigma, goal).team
-        except (ResourceError, VerificationError, ValueError):
+            yield CONSTRUCTION_TERNARY, _ternary(query).team
+        except (ResourceError, VerificationError):
             pass
-    if goal.k >= 2 and goal.is_simple and all(a.is_simple for a in sigma.atoms):
+    if k >= 2 and all(atom.is_simple for atom in (*query.sigma.atoms, query.goal)):
         try:
-            yield CONSTRUCTION_TRUNCATED, build_k_anonymity_countermodel(sigma, goal).team
+            yield CONSTRUCTION_TRUNCATED, _truncated(query).team
         except (ResourceError, VerificationError, ValueError):
             pass

@@ -25,6 +25,10 @@ machine-verified countermodel built in :mod:`anonatom.countermodel`.
 Derivation steps are checked at the set level: each rule's legality is
 insensitive to attribute order and duplicates, which matches the
 semantics (grouping ignores both).
+
+Each engine or oracle call puts its question in normal form once, as a
+``_Query`` that every layer reads; ``normalize`` gives the same form
+over attribute names, for callers and for the verifier.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .atoms import Atom
 from .errors import FragmentError, ResourceError
@@ -55,31 +59,6 @@ class NormalAtom:
 def normalize(atom: Atom) -> NormalAtom:
     pub = frozenset(atom.published)
     return NormalAtom(pub, frozenset(atom.protected) - pub, atom.k)
-
-
-def position_mask(attributes: Sequence[str], names: Iterable[str]) -> int:
-    """The positions of ``names`` in ``attributes``, as an int bitmask."""
-    mask = 0
-    for name in names:
-        mask |= 1 << attributes.index(name)
-    return mask
-
-
-def positional_form(atom: Atom, attributes: Sequence[str], rows: int) -> tuple[int, int, int]:
-    """``atom``'s normal form over the positions of its attributes in
-    ``attributes``, as far as a team of ``rows`` rows can tell: the
-    published positions, the protected positions less the published ones
-    (both as bitmasks), and k clamped to rows + 1 (no group shows more
-    than ``rows`` values).  Atoms with one positional form hold on the
-    same teams of that size, whatever their attributes are called."""
-    published = position_mask(attributes, atom.published)
-    protected = position_mask(attributes, atom.protected) & ~published
-    return published, protected, min(atom.k, rows + 1)
-
-
-def atom_from_normal(normal: NormalAtom) -> Atom:
-    """Canonical sequence form of a normal atom (attributes sorted)."""
-    return Atom(tuple(sorted(normal.published)), tuple(sorted(normal.protected)), normal.k)
 
 
 _NO_ATTRIBUTES: frozenset[str] = frozenset()
@@ -134,9 +113,51 @@ class AtomSet:
         return atom in self.atoms
 
 
-def universe(sigma: AtomSet, goal: Atom) -> frozenset[str]:
-    """All attributes occurring in the hypotheses or the goal."""
-    return sigma.attributes | goal.attributes()
+# An atom's form: its published attributes and its protected attributes
+# less the published ones, as int bitmasks over a sorted universe, and k.
+_Form = tuple[int, int, int]
+
+
+class _Query:
+    """One question ``sigma |- goal`` in the one form that the engines, the
+    grid builders and the oracle read.
+
+    ``attrs`` is the sorted universe of the hypotheses and the goal, and
+    bit i of a mask stands for ``attrs[i]``.  ``hyps`` pairs each
+    hypothesis with its form and ``goal_form`` is the goal's.  A form is
+    the normal form of ``normalize`` as bitmasks: order and duplicates are
+    gone (A1) and shared attributes cancel from the protected side (A3),
+    so atoms with one form hold on the same teams over ``attrs``.
+    """
+
+    __slots__ = ("sigma", "goal", "attrs", "hyps", "goal_form", "_names")
+
+    def __init__(self, sigma: AtomSet, goal: Atom):
+        self.sigma = sigma
+        self.goal = goal
+        self.attrs = attrs = tuple(sorted({*sigma.attributes, *goal.published, *goal.protected}))
+        bit = {a: 1 << i for i, a in enumerate(attrs)}
+        forms: list[_Form] = []
+        for atom in (*sigma.atoms, goal):
+            published = protected = 0
+            for a in atom.published:
+                published |= bit[a]
+            for a in atom.protected:
+                protected |= bit[a]
+            forms.append((published, protected & ~published, atom.k))
+        self.goal_form = forms.pop()
+        self.hyps = tuple(zip(sigma.atoms, forms))
+        self._names: dict[int, frozenset[str]] = {}
+
+    def names(self, mask: int) -> frozenset[str]:
+        """The attributes of ``mask``, built once per mask and then kept, so
+        the atoms of a saturated set share them."""
+        names = self._names.get(mask)
+        if names is None:
+            names = self._names[mask] = frozenset(
+                a for i, a in enumerate(self.attrs) if mask >> i & 1
+            )
+        return names
 
 
 class Rule(str, Enum):
@@ -205,11 +226,17 @@ class Entailment:
     verdict: Verdict
     derivation: Derivation | None = None
     countermodel: "CountermodelReport | None" = None
-    _closure: "_Closure | None" = field(default=None, compare=False, repr=False)
+    _closure: "tuple[_Query, dict[_Key, int]] | None" = field(
+        default=None, compare=False, repr=False
+    )
 
     @cached_property
     def saturated(self) -> frozenset[NormalAtom] | None:
-        return None if self._closure is None else self._closure.atoms()
+        if self._closure is None:
+            return None
+        query, best = self._closure
+        names = query.names
+        return frozenset(NormalAtom(names(p), names(r), k) for (p, r), k in best.items())
 
     @property
     def derivable(self) -> bool:
@@ -219,14 +246,15 @@ class Entailment:
 def is_inconsistent(sigma: AtomSet) -> bool:
     """True iff some hypothesis cancels to an empty protected side with
     k >= 2; such a set is satisfied by the empty team only."""
-    return _inconsistent_member(sigma) is not None
+    # a goal over no attributes adds none to the universe
+    return _inconsistent_member(_Query(sigma, Atom((), ())).hyps) is not None
 
 
-def _inconsistent_member(sigma: AtomSet) -> Atom | None:
-    for atom in sigma.atoms:
-        norm = normalize(atom)
-        if not norm.protected and norm.k >= 2:
-            return atom
+def _inconsistent_member(hyps: Iterable[tuple[Atom, _Form]]) -> Atom | None:
+    """The first hypothesis whose form protects nothing with k >= 2."""
+    for hyp, (_, protected, k) in hyps:
+        if not protected and k >= 2:
+            return hyp
     return None
 
 
@@ -256,45 +284,48 @@ def _weakening(hyp: Atom, goal: Atom) -> Derivation:
     return _restate(node, goal)
 
 
-def _settled(sigma: AtomSet, goal: Atom) -> Entailment | None:
+def _settled(query: _Query) -> Entailment | None:
     """The answer every engine gives before looking further: k = 1 goals
     hold trivially, and an inconsistent hypothesis set derives anything."""
+    goal = query.goal
     if goal.k == 1:
         return Entailment(Verdict.DERIVABLE, derivation=Derivation(Rule.K1_TRIVIAL, goal))
-    bad = _inconsistent_member(sigma)
+    bad = _inconsistent_member(query.hyps)
     if bad is not None:
         return Entailment(Verdict.DERIVABLE, derivation=_ex_falso(goal, bad))
     return None
 
 
-def _subsuming(sigma: AtomSet, goal: Atom) -> Atom | None:
-    """The first hypothesis subsuming ``goal`` after normalization."""
-    g = normalize(goal)
-    for hyp in sigma.atoms:
-        h = normalize(hyp)
-        if g.published <= h.published and h.protected <= g.protected and h.k >= g.k:
+def _subsuming(hyps: Iterable[tuple[Atom, _Form]], goal: _Form) -> Atom | None:
+    """The first hypothesis whose form subsumes the form ``goal``: it
+    publishes at least the goal's attributes, protects a subset of its
+    protected attributes, and has at least its multiplicity."""
+    published, protected, k = goal
+    for hyp, (h_published, h_protected, h_k) in hyps:
+        if not published & ~h_published and not h_protected & ~protected and h_k >= k:
             return hyp
     return None
 
 
 def _decide(
-    sigma: AtomSet, goal: Atom, refute: Callable[[AtomSet, Atom], "CountermodelReport"]
+    sigma: AtomSet, goal: Atom, refute: Callable[[_Query], "CountermodelReport"]
 ) -> Entailment:
     """The complete decision shared by the plain and the simple fragment.
     The full grid refutes a goal that protects nothing after cancellation
     (no hypothesis of a consistent set subsumes one); the fragment's
     construction ``refute`` refutes the rest."""
-    settled = _settled(sigma, goal)
+    query = _Query(sigma, goal)
+    settled = _settled(query)
     if settled is not None:
         return settled
-    hyp = _subsuming(sigma, goal)
+    hyp = _subsuming(query.hyps, query.goal_form)
     if hyp is not None:
         return Entailment(Verdict.DERIVABLE, derivation=_weakening(hyp, goal))
-    from .countermodel import build_full_grid_countermodel  # deferred: it imports this module
+    from .countermodel import _full_grid  # deferred: it imports this module
 
-    if not normalize(goal).protected:
-        refute = build_full_grid_countermodel
-    return Entailment(Verdict.NOT_DERIVABLE, countermodel=refute(sigma, goal))
+    if not query.goal_form[1]:
+        refute = _full_grid
+    return Entailment(Verdict.NOT_DERIVABLE, countermodel=refute(query))
 
 
 def entails_anonymity(sigma: AtomSet, goal: Atom) -> Entailment:
@@ -313,9 +344,9 @@ def entails_anonymity(sigma: AtomSet, goal: Atom) -> Entailment:
                 f"hypothesis {atom} has multiplicity {atom.k}; "
                 "use entails_k_simple or entails_k_saturate"
             )
-    from .countermodel import build_anonymity_countermodel
+    from .countermodel import _ternary
 
-    return _decide(sigma, goal, build_anonymity_countermodel)
+    return _decide(sigma, goal, _ternary)
 
 
 def entails_k_simple(sigma: AtomSet, goal: Atom) -> Entailment:
@@ -326,9 +357,9 @@ def entails_k_simple(sigma: AtomSet, goal: Atom) -> Entailment:
             raise FragmentError(
                 f"{atom} is not simple (one protected attribute); use entails_k_saturate"
             )
-    from .countermodel import build_k_anonymity_countermodel
+    from .countermodel import _truncated
 
-    return _decide(sigma, goal, build_k_anonymity_countermodel)
+    return _decide(sigma, goal, _truncated)
 
 
 # Saturation bookkeeping: per (published, protected) pair we keep the best
@@ -338,58 +369,28 @@ _Key = tuple[int, int]
 _Triple = tuple[int, int, int]
 
 
-class _Closure:
-    # The reached (published, protected) pairs as int masks with their best
-    # multiplicity, and the memoized mask -> names map: all that an
-    # ``Entailment`` keeps of a saturation, to build its saturated set on
-    # first read.  Bit i stands for ``attrs[i]``, the i-th name of the
-    # sorted universe.
-    def __init__(self, attrs: list[str]):
-        self.attrs = attrs
-        self.best: dict[_Key, int] = {}
-        self._names: dict[int, frozenset[str]] = {}
-
-    def names(self, mask: int) -> frozenset[str]:
-        names = self._names.get(mask)
-        if names is None:
-            names = self._names[mask] = frozenset(
-                a for i, a in enumerate(self.attrs) if mask >> i & 1
-            )
-        return names
-
-    def normal(self, pub: int, prot: int, k: int) -> NormalAtom:
-        return NormalAtom(self.names(pub), self.names(prot), k)
-
-    def atoms(self) -> frozenset[NormalAtom]:
-        normal = self.normal
-        return frozenset(normal(p, r, k) for (p, r), k in self.best.items())
+MAX_SATURATION_STEPS = 100_000  # a longer saturation raises ResourceError
 
 
 class _Saturation:
-    # Attribute sets are int bitmasks over the sorted universe (see
-    # ``_Closure``), so a published side is an int and a key is a pair of
-    # ints.  The weakening loop walks the bits from low to high, which is
-    # the sorted-name order, and every other walk follows dict insertion
-    # order, never set iteration order; so the proof found does not depend
-    # on string hashing (PYTHONHASHSEED).  Names come back only through
-    # ``closure.names``, for the proof tree and the saturated set.  The
-    # proofs, queue and indices live here, not in the closure, so they are
-    # freed once the answer is built.
-    def __init__(self, sigma: AtomSet, goal: Atom, max_steps: int):
-        self.cap = goal.k
-        self.closure = _Closure(sorted(universe(sigma, goal)))
-        self.bit = {a: 1 << i for i, a in enumerate(self.closure.attrs)}
-        self.max_steps = max_steps
-        self.best = self.closure.best
+    # Attribute sets are the query's int bitmasks over the sorted universe,
+    # so a published side is an int and a key is a pair of ints.  The
+    # weakening loop walks the bits from low to high, which is the
+    # sorted-name order, and every other walk follows dict insertion order,
+    # never set iteration order; so the proof found does not depend on
+    # string hashing (PYTHONHASHSEED).  Names come back only through
+    # ``query.names``, for the proof tree and the saturated set.  An
+    # ``Entailment`` keeps the query and ``best``; the proofs, queue and
+    # indices live here, so they are freed once the answer is built.
+    def __init__(self, query: _Query):
+        self.query = query
+        self.cap = query.goal.k
+        self.best: dict[_Key, int] = {}
         self.proofs: dict[_Triple, tuple] = {}
         self.by_published: dict[int, dict[_Key, None]] = {}
         self.by_closure: dict[int, dict[_Key, None]] = {}
         self.queue: list[_Triple] = []
         self.steps = 0
-
-    def key(self, normal: NormalAtom) -> _Key:
-        bit = self.bit
-        return sum(bit[a] for a in normal.published), sum(bit[a] for a in normal.protected)
 
     def offer(self, key: _Key, k: int, proof: tuple) -> None:
         if k > self.cap:
@@ -407,10 +408,11 @@ class _Saturation:
     def run(self) -> None:
         best, queue, offer = self.best, self.queue, self.offer
         by_published, by_closure = self.by_published, self.by_closure
-        bits = list(self.bit.values())
+        bits = [1 << i for i in range(len(self.query.attrs))]
+        max_steps = MAX_SATURATION_STEPS
         while queue:
             self.steps += 1
-            if self.steps > self.max_steps:
+            if self.steps > max_steps:
                 raise ResourceError(
                     f"saturation budget exceeded after {self.steps - 1} steps; "
                     f"partial closure holds {len(best)} atoms"
@@ -440,7 +442,9 @@ class _Saturation:
 
     def rebuild(self, triple: _Triple) -> Derivation:
         proof = self.proofs[triple]
-        conclusion = atom_from_normal(self.closure.normal(*triple))
+        pub, prot, k = triple
+        names = self.query.names
+        conclusion = Atom(tuple(sorted(names(pub))), tuple(sorted(names(prot))), k)
         if proof[0] == "hyp":
             return _weakening(proof[1], conclusion)
         if proof[0] == "A2":
@@ -450,12 +454,12 @@ class _Saturation:
         product = proof[1][2] * proof[2][2]
         composed = Atom(conclusion.published, conclusion.protected, product)
         node = Derivation(Rule.COMPOSITION, composed, (first, second))
-        if product != triple[2]:
+        if product != k:
             node = Derivation(Rule.MONOTONICITY, conclusion, (node,))
         return node
 
 
-def entails_k_saturate(sigma: AtomSet, goal: Atom, *, max_steps: int = 100_000) -> Entailment:
+def entails_k_saturate(sigma: AtomSet, goal: Atom) -> Entailment:
     """Sound saturation for arbitrary k-atoms: Derivable with a proof tree
     when the closure reaches the goal, otherwise Unknown.  Either way the
     answer's ``saturated`` set, built on first read, is the closure reached.
@@ -470,22 +474,23 @@ def entails_k_saturate(sigma: AtomSet, goal: Atom, *, max_steps: int = 100_000) 
     * ``x Yk y`` then ``xy Y1 z`` concludes the same ``x Yk yz``: from
       ``x Yk y``, extend the protected side by ``z``.
     """
-    settled = _settled(sigma, goal)
+    query = _Query(sigma, goal)
+    settled = _settled(query)
     if settled is not None:
         return settled
 
-    sat = _Saturation(sigma, goal, max_steps)
-    for hyp in sigma.atoms:
-        norm = normalize(hyp)
-        if norm.k > 1:
-            sat.offer(sat.key(norm), norm.k, ("hyp", hyp))
+    sat = _Saturation(query)
+    for hyp, (published, protected, k) in query.hyps:
+        if k > 1:
+            sat.offer((published, protected), k, ("hyp", hyp))
     sat.run()
 
-    key = sat.key(normalize(goal))
+    key = query.goal_form[:2]
+    closure = (query, sat.best)
     if sat.best.get(key, 0) >= goal.k:
         node = _restate(sat.rebuild((*key, sat.best[key])), goal)
-        return Entailment(Verdict.DERIVABLE, derivation=node, _closure=sat.closure)
-    return Entailment(Verdict.UNKNOWN, _closure=sat.closure)
+        return Entailment(Verdict.DERIVABLE, derivation=node, _closure=closure)
+    return Entailment(Verdict.UNKNOWN, _closure=closure)
 
 
 def explain_derivation(derivation: Derivation, sigma: AtomSet) -> str | None:

@@ -10,9 +10,11 @@ some.  The candidates come from ``countermodel``'s shape cache: every
 grid inside the oracle's grid space (at most 4 attributes over at most 3
 values) is built once per shape and each atom shape is checked on it
 once, whichever engine or oracle call asks first, so an entailed
-instance costs a few memo reads before the enumeration.  The cache knows
-nothing of subsumption; a candidate is returned only when its builder's
-check says it refutes.
+instance costs a few memo reads before the enumeration.  The cache
+knows nothing of subsumption; a candidate is returned only when its
+builder's check says it refutes.  A call puts the question in normal
+form once (``inference._Query``), and the candidates, the shape cache
+and the bitmaps all read that form.
 
 Exhaustive mode builds no team to check them: per atom it computes one
 bitmap, one bit per team over the grid of assignments, straight from
@@ -36,9 +38,9 @@ from enum import Enum
 from typing import Sequence
 
 from .atoms import Atom, satisfies
-from .countermodel import GRID_SPACE_ATTRIBUTES, GRID_SPACE_DOMAIN, candidate_teams
+from .countermodel import GRID_SPACE_ATTRIBUTES, GRID_SPACE_DOMAIN, _candidates
 from .errors import ConfigError
-from .inference import AtomSet, positional_form, universe
+from .inference import AtomSet, _Form, _Query
 from .team import Schema, Team
 
 EXHAUSTIVE = "exhaustive"
@@ -127,17 +129,19 @@ class _GridCache:
       ``not (>= 1) or (>= k)``.
     * The atom's mask is the AND over groups; k = 1 gives every team.
 
-    Masks are keyed by positional normal form (``positional_form``): the
-    published and the protected position bitmasks (shared positions
-    cancel from the protected side) and k clamped to g + 1, since no group
-    shows more than g values.  Keys over one shape are therefore finite: 3^arity
-    sides times g + 1 multiplicities.
+    Masks are keyed by the atom's form over the sorted attributes
+    (``inference._Query``): the published and the protected position
+    bitmasks (shared positions cancel from the protected side) and k,
+    clamped here to g + 1, since no group shows more than g values.  Keys
+    over one shape are therefore finite: 3^arity sides times g + 1
+    multiplicities.
     """
 
     def __init__(self, arity: int, domain: tuple[str, ...]):
         self.grid = list(itertools.product(domain, repeat=arity))
         self.count = 1 << len(self.grid)
         self.every_team = (1 << self.count) - 1
+        self.most = len(self.grid) + 1  # no group of the grid shows more values
         self._containing = [self._teams_containing(j) for j in range(len(self.grid))]
         self._masks: dict[tuple[int, int, int], int] = {}
 
@@ -148,13 +152,14 @@ class _GridCache:
         period = (1 << 2 * half) - 1
         return (((1 << half) - 1) << half) * (self.every_team // period)
 
-    def mask(self, atom: Atom, attributes: Sequence[str]) -> int:
-        """The teams satisfying ``atom``, whose attributes sit at their
-        positions in ``attributes``."""
-        key = positional_form(atom, attributes, len(self.grid))
-        cached = self._masks.get(key)
+    def mask(self, form: _Form) -> int:
+        """The teams satisfying an atom of ``form`` over the grid's
+        attribute positions."""
+        if form[2] > self.most:
+            form = (form[0], form[1], self.most)
+        cached = self._masks.get(form)
         if cached is None:
-            cached = self._masks[key] = self._build(*key)
+            cached = self._masks[form] = self._build(*form)
         return cached
 
     def _build(self, published_mask: int, protected_mask: int, k: int) -> int:
@@ -197,13 +202,14 @@ def _refutes(team: Team, sigma: AtomSet, goal: Atom) -> bool:
 
 def semantic_entails(sigma: AtomSet, goal: Atom, cfg: OracleConfig) -> OracleResult:
     """Search for a team satisfying the hypotheses but not the goal."""
-    attrs = tuple(sorted(universe(sigma, goal)))
+    query = _Query(sigma, goal)
+    attrs = query.attrs
     if len(attrs) > cfg.attribute_limit:
         raise ConfigError(
             f"instance mentions {len(attrs)} attributes but the configured limit is "
             f"{cfg.attribute_limit}"
         )
-    candidate = next(candidate_teams(sigma, goal), None)
+    candidate = next(_candidates(query), None)
     if candidate is not None:  # verified by its builder: it refutes
         return OracleResult(OracleStatus.REFUTED, candidate[1], 1)
     domain = tuple(str(i) for i in range(cfg.domain_size))
@@ -211,9 +217,9 @@ def semantic_entails(sigma: AtomSet, goal: Atom, cfg: OracleConfig) -> OracleRes
     if cfg.mode == EXHAUSTIVE:  # the config keeps the grid within _MAX_GRID rows
         cache = _cache_for(len(attrs), domain)
         sigma_mask = cache.every_team
-        for hyp in sigma.atoms:
-            sigma_mask &= cache.mask(hyp, attrs)
-        refuting = sigma_mask & ~cache.mask(goal, attrs)
+        for _, form in query.hyps:
+            sigma_mask &= cache.mask(form)
+        refuting = sigma_mask & ~cache.mask(query.goal_form)
         if refuting:
             index = (refuting & -refuting).bit_length() - 1
             return OracleResult(OracleStatus.REFUTED, cache.team(attrs, index), cache.count)

@@ -168,15 +168,6 @@ class Team:
         return Team._trusted(self.schema, self.rows | other.rows)
 
 
-def project(team: Team, attrs: Sequence[str]) -> list[Row]:
-    """The value tuple over ``attrs`` for each row, in sorted row order.
-
-    Empty ``attrs`` yields the empty tuple for every row.
-    """
-    idx = team.schema.indexes(attrs)
-    return [tuple(row[i] for i in idx) for row in team.sorted_rows()]
-
-
 def group_by(team: Team, attrs: Sequence[str]) -> dict[Row, list[Row]]:
     """Partition rows by their ``attrs`` tuple.
 

@@ -9,7 +9,7 @@ hold on some such expansion).
 
 The existential search is exhaustive over per-row non-empty value
 subsets with first-success cutoff; it is meant for desk-scale inputs and
-guards itself with an expansion budget.
+guards itself with an expansion budget, ``MAX_EXPANSIONS``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,10 @@ from typing import Mapping, Sequence, Union
 from .atoms import AnyAtom, satisfies
 from .errors import DomainError, ResourceError, SchemaError
 from .team import Row, Schema, Team
+
+# The existential search's budget: a quantifier whose expansions outnumber
+# it raises ResourceError before any is built.
+MAX_EXPANSIONS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -120,13 +124,7 @@ def _nonempty_subsets(domain: tuple[str, ...]) -> list[frozenset[str]]:
     return subsets
 
 
-def evaluate(
-    team: Team,
-    domain: Sequence[str],
-    formula: Formula,
-    *,
-    max_expansions: int = 1_000_000,
-) -> bool:
+def evaluate(team: Team, domain: Sequence[str], formula: Formula) -> bool:
     """Evaluate ``formula`` on ``team``; ``domain`` supplies the candidate
     values for existential quantifiers."""
     if isinstance(formula, AtomNode):
@@ -134,14 +132,9 @@ def evaluate(
     if isinstance(formula, LiteralNode):
         return len(subteam(team, (formula,))) == len(team)
     if isinstance(formula, AndNode):
-        return all(
-            evaluate(team, domain, part, max_expansions=max_expansions)
-            for part in formula.parts
-        )
+        return all(evaluate(team, domain, part) for part in formula.parts)
     if isinstance(formula, ImplNode):
-        return evaluate(
-            subteam(team, formula.guard), domain, formula.body, max_expansions=max_expansions
-        )
+        return evaluate(subteam(team, formula.guard), domain, formula.body)
     if isinstance(formula, ExistsNode):
         if formula.attribute in team.schema:
             raise SchemaError(
@@ -152,25 +145,24 @@ def evaluate(
             raise DomainError("existential quantification over an empty domain")
         rows = team.sorted_rows()
         if not rows:
-            return evaluate(extend(team, formula.attribute, {}), values, formula.body,
-                            max_expansions=max_expansions)
+            return evaluate(extend(team, formula.attribute, {}), values, formula.body)
         # (2^|values| - 1)^|rows| expansions, compared with the budget before
         # any subset is built; past the budget's bit length in values, or in
         # rows with two or more values, the count exceeds it unevaluated
-        bits = max_expansions.bit_length()
+        bits = MAX_EXPANSIONS.bit_length()
         if (
             len(values) > bits
             or (len(values) > 1 and len(rows) > bits)
-            or ((1 << len(values)) - 1) ** len(rows) > max_expansions
+            or ((1 << len(values)) - 1) ** len(rows) > MAX_EXPANSIONS
         ):
             raise ResourceError(
                 f"existential search needs (2^{len(values)} - 1)^{len(rows)} expansions "
-                f"({len(rows)} rows x {len(values)} values); budget is {max_expansions}"
+                f"({len(rows)} rows x {len(values)} values); budget is {MAX_EXPANSIONS}"
             )
         subsets = _nonempty_subsets(values)
         for combo in itertools.product(subsets, repeat=len(rows)):
             extended = extend(team, formula.attribute, dict(zip(rows, combo)))
-            if evaluate(extended, values, formula.body, max_expansions=max_expansions):
+            if evaluate(extended, values, formula.body):
                 return True
         return False
     raise TypeError(f"not a formula node: {formula!r}")

@@ -6,6 +6,7 @@ import pytest
 from anonatom import (
     AndNode,
     Atom,
+    AtomSet,
     AtomNode,
     DependenceAtom,
     ExistsNode,
@@ -15,6 +16,7 @@ from anonatom import (
     LiteralNode,
     Team,
 )
+from anonatom.inference import _Query
 
 # Six-row census-style team: each (hometown, salary) pair is shared by two
 # surnames, while a surname pins down everything else.
@@ -109,6 +111,11 @@ def all_normal_shapes(attrs):
                 prot.append(name)
         shapes.append((tuple(pub), tuple(prot)))
     return shapes
+
+
+def form(a, attrs):
+    """The form of atom ``a`` over the sorted universe ``attrs``."""
+    return _Query(AtomSet.of(extra_attributes=attrs), a).goal_form
 
 
 def random_formula(rng: random.Random, names, values, depth=0):

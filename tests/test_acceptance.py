@@ -14,12 +14,9 @@ from anonatom import (
     Verdict,
     anonymity_degree,
     check_anonymity,
-    check_anonymity_via_inclusion,
     check_dependence,
     check_independence,
     check_k_anonymity,
-    check_k_anonymity_existential,
-    check_k_counting_variant,
     entails_anonymity,
     entails_k_simple,
     evaluate,
@@ -33,6 +30,11 @@ from anonatom import (
     verify_derivation,
 )
 from anonatom.cli import main
+from anonatom.reference import (
+    check_anonymity_via_inclusion,
+    check_k_anonymity_existential,
+    check_k_counting_variant,
+)
 from anonatom.teamlogic import AndNode, AtomNode, ExistsNode, ImplNode, LiteralNode
 from conftest import (
     CENSUS_ATTRS,

@@ -14,15 +14,17 @@ from anonatom import (
     Team,
     anonymity_degree,
     check_anonymity,
-    check_anonymity_via_inclusion,
     check_dependence,
     check_inclusion,
     check_independence,
     check_k_anonymity,
-    check_k_anonymity_existential,
-    check_k_counting_variant,
     group_by,
     satisfies,
+)
+from anonatom.reference import (
+    check_anonymity_via_inclusion,
+    check_k_anonymity_existential,
+    check_k_counting_variant,
 )
 from conftest import all_teams, anonymity_scan, make_team, random_small_team
 

@@ -1,6 +1,7 @@
-"""The benchmark's reference checks on the saturation and the plain-fragment
-sweep workloads, at their quick sizes (about a second each), so that each
-test run also checks the outputs the benchmark checks."""
+"""The benchmark's reference checks on every workload at its quick size (a
+few seconds in all): the saturation and plain-fragment sweep workloads in
+process, the cold oracle and the CSV audit through the command line; so
+that each test run also checks the outputs the benchmark checks."""
 
 import json
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["entail-k", "entail-sweep"])
+@pytest.mark.parametrize("workload", ["entail-k", "entail-sweep", "oracle-cold", "audit-csv"])
 def test_quick_run_is_correct(workload):
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--quick", "--workload", workload],

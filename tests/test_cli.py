@@ -180,6 +180,16 @@ class TestAudit:
         assert code == 1
         assert doc["meets_min_k"] is False
 
+    @pytest.mark.parametrize("min_k", ["0", "-3"])
+    def test_min_k_below_one_is_a_config_error(self, capsys, census_csv, min_k):
+        code, doc = run_json(
+            capsys, "audit", "--team", census_csv, "--publish", "hometown,salary",
+            "--protect", "surname", "--min-k", min_k,
+        )
+        assert code == 2
+        assert doc["error"]["kind"] == "ConfigError"
+        assert "--min-k" in doc["error"]["message"]
+
     def test_empty_team_unbounded(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("a,b\n", encoding="utf-8")
@@ -425,6 +435,24 @@ def test_saturation_output_does_not_depend_on_hash_seed(tmp_path):
         assert done.returncode == 0, done.stderr
         outputs.add(done.stdout)
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["-c", "import anonatom"],
+    ["-m", "anonatom", "check", "--team", "census.csv", "--atom", "hometown salary Y surname"],
+])
+def test_reference_checkers_are_not_loaded(tmp_path, argv):
+    # -X importtime lists every module the interpreter imports on stderr
+    (tmp_path / "census.csv").write_text(CENSUS_CSV, encoding="utf-8")
+    src = str(Path(anonatom.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    assert "anonatom.atoms" in imported
+    assert "anonatom.reference" not in imported
 
 
 # Text that is well-formed, malformed or nonsense for the atom and formula

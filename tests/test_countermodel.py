@@ -25,12 +25,20 @@ from anonatom import (
     witness_report,
 )
 from anonatom import countermodel
-from anonatom.countermodel import _grid_team, ternary_team_size
-from conftest import TRANSITIVITY_ATTRS, TRANSITIVITY_ROWS, all_normal_shapes
+from anonatom.countermodel import _grid_team
+from conftest import TRANSITIVITY_ATTRS, TRANSITIVITY_ROWS, all_normal_shapes, form
 
 
 def atom(pub, prot, k=2):
     return Atom(tuple(pub), tuple(prot), k)
+
+
+def ternary_team_size(attribute_count: int, published: int, protected: int) -> int:
+    """Closed form for the ternary grid's row count with disjoint sides:
+    3^|W| minus the rows with an all-zero published tuple and a not-all-zero
+    protected tuple."""
+    free = attribute_count - published - protected
+    return 3**attribute_count - (3**free) * (3**protected - 1)
 
 
 def ternary_rows(attrs, pub, prot):
@@ -218,20 +226,22 @@ class TestShapeCache:
     def test_memoised_verdicts_match_fresh_grids(self, attrs, domain, bound):
         renamed = dict(zip(attrs, ("p", "q", "r")))
         countermodel._grids.clear()
+        others = tuple(renamed.values())
         for pub, prot in all_normal_shapes(attrs):
             fresh = Team.of(attrs, grid_rows(attrs, domain, pub, prot, bound))
-            team, holds = _grid_team(attrs, domain, pub, prot, bound)
+            masks = form(Atom(pub, prot), attrs)[:2]
+            team, holds = _grid_team(attrs, domain, *masks, bound)
             # the same shape under other names reads the memo the first call filled
-            other, other_holds = _grid_team(renamed.values(), domain, [renamed[a] for a in pub],
-                                            [renamed[a] for a in prot], bound)
+            other, other_holds = _grid_team(others, domain, *masks, bound)
             assert team.rows == fresh.rows and other.rows is team.rows
             for sides in all_normal_shapes(attrs):
                 for k in range(1, len(fresh) + 3):
                     shape = Atom(*sides, k)
                     expected = satisfies(fresh, shape)
-                    assert holds(team, shape) == expected, (pub, prot, shape)
+                    assert holds(team, shape, form(shape, attrs)) == expected, (pub, prot, shape)
                     moved = Atom(*([renamed[a] for a in side] for side in sides), k)
-                    assert other_holds(other, moved) == expected, (pub, prot, moved)
+                    moved_form = form(moved, others)
+                    assert other_holds(other, moved, moved_form) == expected, (pub, prot, moved)
         assert len(countermodel._grids) == 3 ** len(attrs)
 
     def test_renamed_instances_share_one_entry(self):

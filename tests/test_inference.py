@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -21,7 +22,8 @@ from anonatom import (
     verify_countermodel,
     verify_derivation,
 )
-from anonatom.inference import _Closure, explain_derivation, positional_form
+from anonatom import inference
+from anonatom.inference import _Query, explain_derivation
 from conftest import all_normal_shapes
 
 
@@ -52,12 +54,35 @@ class TestNormalize:
         assert norm.protected == frozenset("y")
 
     def test_positional_form(self):
-        attrs = ("x", "y", "z")
-        assert positional_form(atom("zx", "yxx", 3), attrs, 8) == (0b101, 0b010, 3)
-        # no group of a 4-row team shows more than 4 values
-        clamped = positional_form(atom("x", "y", 5), attrs, 4)
-        assert positional_form(atom("x", "y", 50), attrs, 4) == clamped
-        assert positional_form(atom("x", "y", 4), attrs, 4)[2] == 4
+        # masks over the sorted universe x, y, z; k is kept as it is (the
+        # grid memo and the oracle's bitmaps clamp it to their rows + 1)
+        query = _Query(AtomSet.of(atom("y", "x", 50)), atom("zx", "yxx", 3))
+        assert query.attrs == ("x", "y", "z")
+        assert query.goal_form == (0b101, 0b010, 3)
+        assert query.hyps == ((atom("y", "x", 50), (0b010, 0b001, 50)),)
+
+    def test_forms_are_the_bit_image_of_normalize(self):
+        # The engines read forms, not ``normalize``; this checks the two
+        # agree: every 3-attribute sweep shape with sides overlapping or
+        # not, and random atoms with duplicate and shared names.
+        subsets = [s for n in range(4) for s in itertools.combinations("abc", n)]
+        atoms = [atom(pub, prot, k) for pub in subsets for prot in subsets for k in (1, 2, 3)]
+        rng = random.Random(11)
+        for _ in range(300):
+            pub = rng.choices("abcde", k=rng.randint(0, 5))
+            atoms.append(atom(pub, rng.choices("abcde", k=rng.randint(0, 5)), rng.randint(1, 6)))
+        for goal in atoms:
+            sigma = AtomSet.of(*rng.sample(atoms, 3))
+            query = _Query(sigma, goal)
+            assert query.attrs == tuple(sorted(sigma.attributes | goal.attributes()))
+            bit = {a: 1 << i for i, a in enumerate(query.attrs)}
+
+            def image(a):
+                norm = normalize(a)
+                return sum(map(bit.get, norm.published)), sum(map(bit.get, norm.protected)), a.k
+
+            assert query.goal_form == image(goal), goal
+            assert query.hyps == tuple((hyp, image(hyp)) for hyp in sigma.atoms)
 
 
 class TestAtomSet:
@@ -234,10 +259,11 @@ class TestSaturation:
         assert result.verdict is Verdict.UNKNOWN
         assert result.saturated is not None
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
+        monkeypatch.setattr(inference, "MAX_SATURATION_STEPS", 5)
         sigma = AtomSet.of(atom("abcdef"[:3], "d", 2), atom("ab", "e", 2))
         with pytest.raises(ResourceError, match="budget"):
-            entails_k_saturate(sigma, atom("a", "bcdef", 32), max_steps=5)
+            entails_k_saturate(sigma, atom("a", "bcdef", 32))
 
     def test_multiplicity_one_goal(self):
         result = entails_k_saturate(AtomSet.of(), atom("x", "y", 1))
@@ -379,8 +405,8 @@ class TestSaturatedSet:
     ])
     def test_set_is_built_on_first_read(self, monkeypatch, goal, tree_calls):
         calls = []
-        names = _Closure.names
-        monkeypatch.setattr(_Closure, "names",
+        names = _Query.names
+        monkeypatch.setattr(_Query, "names",
                             lambda self, mask: calls.append(mask) or names(self, mask))
         result = entails_k_saturate(self.SIGMA, goal)
         before = len(calls)

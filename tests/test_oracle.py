@@ -18,7 +18,7 @@ from anonatom import (
 )
 from anonatom import countermodel, inference, oracle
 from anonatom.countermodel import candidate_teams
-from conftest import all_normal_shapes
+from conftest import all_normal_shapes, form
 
 
 def atom(pub, prot, k=2):
@@ -212,7 +212,7 @@ class TestBitmaps:
         teams = lattice(attrs, domain)
         g = len(cache.grid)
         for a in normal_atoms(attrs, range(1, g + 3)):
-            assert cache.mask(a, attrs) == brute_force_mask(teams, a), a
+            assert cache.mask(form(a, attrs)) == brute_force_mask(teams, a), a
 
     def test_sampled_atoms_at_four_attributes(self):
         attrs, domain = ("a", "b", "c", "d"), ("0", "1")
@@ -226,7 +226,7 @@ class TestBitmaps:
                 tuple(rng.sample(attrs, rng.randint(2, 3))),
                 rng.randint(2, 4),
             )
-            assert cache.mask(a, attrs) == brute_force_mask(teams, a), a
+            assert cache.mask(form(a, attrs)) == brute_force_mask(teams, a), a
 
     def test_cache_keyed_by_shape(self):
         oracle._grid_caches.clear()
@@ -246,7 +246,7 @@ class TestBitmaps:
     def test_multiplicity_clamped_past_the_grid(self):
         attrs = ("a", "b")
         cache = oracle._GridCache(len(attrs), ("0", "1"))
-        assert cache.mask(atom("a", "b", 5), attrs) == cache.mask(atom("a", "b", 50), attrs)
+        assert cache.mask(form(atom("a", "b", 5), attrs)) == cache.mask(form(atom("a", "b", 50), attrs))
         assert len(cache._masks) == 1
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from anonatom import Schema, SchemaError, Team, extend, group_by, project, random_team
+from anonatom import Schema, SchemaError, Team, extend, group_by, random_team
 from conftest import grid_rows, random_small_team
 
 
@@ -101,29 +101,6 @@ class TestRowsFromCallersAreChecked:
         trusted = Team._trusted(Schema(("a", "b")), rows)
         assert trusted == Team.of(("a", "b"), rows)
         assert hash(trusted) == hash(Team.of(("a", "b"), rows))
-
-
-class TestProject:
-    def test_census_hometown_projection(self, census_team):
-        tuples = project(census_team, ("hometown",))
-        assert len(tuples) == 6
-        counts = {value: tuples.count(value) for value in set(tuples)}
-        assert counts == {("Watarru",): 2, ("Amata",): 2, ("Finke",): 2}
-
-    def test_empty_attribute_list(self, census_team):
-        assert project(census_team, ()) == [()] * 6
-
-    def test_transitivity_xz_projection(self, transitivity_team):
-        tuples = project(transitivity_team, ("x", "z"))
-        assert len(tuples) == 4
-        assert set(tuples) == {("0", "0"), ("1", "1")}
-
-    def test_unknown_attribute(self, census_team):
-        with pytest.raises(SchemaError, match="'age'"):
-            project(census_team, ("age",))
-
-    def test_pure(self, census_team):
-        assert project(census_team, ("salary",)) == project(census_team, ("salary",))
 
 
 class TestGroupBy:

@@ -20,6 +20,7 @@ from anonatom import (
     extend,
     subteam,
 )
+from anonatom import teamlogic
 from conftest import all_teams, make_team, random_small_team
 
 
@@ -162,17 +163,20 @@ class TestEvaluate:
         with pytest.raises(SchemaError):
             evaluate(census_team, ("0",), ExistsNode("surname", lit("surname", "0")))
 
-    def test_exists_budget(self):
+    def test_exists_budget(self, monkeypatch):
+        monkeypatch.setattr(teamlogic, "MAX_EXPANSIONS", 10)
         team = make_team(("a", "b"), itertools.product("0123", repeat=2))
         with pytest.raises(ResourceError):
-            evaluate(team, ("0", "1", "2"), ExistsNode("v", lit("v", "0")), max_expansions=10)
+            evaluate(team, ("0", "1", "2"), ExistsNode("v", lit("v", "0")))
 
-    def test_exists_budget_is_exact(self):
+    def test_exists_budget_is_exact(self, monkeypatch):
         team = make_team(("a",), [("0",), ("1",)])
         formula = ExistsNode("v", lit("v", "9"))  # fails on every expansion
-        assert not evaluate(team, ("0", "1", "2"), formula, max_expansions=49)  # 7^2
+        monkeypatch.setattr(teamlogic, "MAX_EXPANSIONS", 49)  # 7^2
+        assert not evaluate(team, ("0", "1", "2"), formula)
+        monkeypatch.setattr(teamlogic, "MAX_EXPANSIONS", 48)
         with pytest.raises(ResourceError):
-            evaluate(team, ("0", "1", "2"), formula, max_expansions=48)
+            evaluate(team, ("0", "1", "2"), formula)
 
     def test_exists_budget_is_checked_before_allocation(self):
         team = make_team(("a",), [("0",), ("1",)])
