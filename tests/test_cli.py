@@ -643,3 +643,40 @@ def test_reports_are_one_line_of_unchanged_json(capsys, tmp_path, census_csv):
         document = json.loads(out)
         assert document == expected, argv
         assert list(document) == list(expected), argv
+
+
+def test_pretty_entail_and_oracle_reports(capsys, tmp_path, chain_sigma):
+    """The ``--pretty`` text of each entail and oracle outcome, line for line."""
+    derivable = tmp_path / "derivable.txt"
+    derivable.write_text("x y Y z\n", encoding="utf-8")
+    countermodel, refuter = tmp_path / "cm.csv", tmp_path / "refuter.csv"
+    cases = [
+        (["entail", "--sigma", chain_sigma, "--goal", "x Y z",
+          "--countermodel-out", str(countermodel)], 1, [
+            "goal: x Y z",
+            "verdict: not-derivable",
+            "countermodel: 21 rows (ternary-grid, domain size 3)",
+            f"countermodel written to {countermodel}",
+        ]),
+        (["entail", "--sigma", chain_sigma, "--goal", "x Y3 z", "--mode", "k-saturate"], 3, [
+            "goal: x Y3 z",
+            "verdict: unknown",
+            "saturation closed over 10 atoms without reaching the goal",
+        ]),
+        (["oracle", "--sigma", chain_sigma, "--goal", "x Y z", "--attrs", "3",
+          "--refuter-out", str(refuter)], 1, [
+            "goal: x Y z",
+            "status: refuted",
+            "refuting team has 21 row(s)",
+            f"refuter written to {refuter}",
+        ]),
+        (["oracle", "--sigma", str(derivable), "--goal", "x Y z", "--attrs", "3"], 0, [
+            "goal: x Y z",
+            "status: entailed",
+        ]),
+    ]
+    for argv, expected_code, expected in cases:
+        code, out = run(capsys, *argv, "--pretty")
+        assert code == expected_code, argv
+        assert out == "\n".join(expected) + "\n", argv
+    assert read_team_csv(str(countermodel)).team == read_team_csv(str(refuter)).team

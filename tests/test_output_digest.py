@@ -1,0 +1,99 @@
+"""One digest over the outputs of the engines, the constructions and the
+oracle on a seeded sample, so that a change meant to keep them all fails
+here on the first differing byte.
+
+The sample is every 30th instance of the plain-fragment sweep (criterion
+03) plus 500 random simple and general k-atom instances over 2 to 4
+attributes.  Per instance the digest reads the engine's verdict, proof
+tree (``to_dict``) and countermodel (schema, sorted rows, construction,
+domain size), every team of ``candidate_teams``, and the oracle's status,
+refuter and ``teams_checked``.  A change that alters any of them on
+purpose updates ``EXPECTED`` and says so in ``CHANGES.md``.
+"""
+
+import hashlib
+import itertools
+import json
+import random
+
+from anonatom import (
+    Atom,
+    AtomSet,
+    OracleConfig,
+    entails_anonymity,
+    entails_k_saturate,
+    entails_k_simple,
+    semantic_entails,
+)
+from anonatom.countermodel import candidate_teams
+from conftest import all_normal_shapes
+
+EXPECTED = "40a2b058c50b3d2b9c19fe15255632ca3d5a9e2ecea82d0af2afcb94dc8ecc34"
+
+
+def _team(team):
+    return None if team is None else [team.schema.attributes, team.sorted_rows()]
+
+
+def _outputs(sigma, goal, engine, configs):
+    result = engine(sigma, goal)
+    report = result.countermodel
+    saturated = None if result.saturated is None else len(result.saturated)
+    yield [
+        result.verdict.value,
+        None if result.derivation is None else result.derivation.to_dict(),
+        None if report is None else [_team(report.team), report.construction, report.domain_size],
+        saturated,
+    ]
+    yield [[name, _team(team)] for name, team in candidate_teams(sigma, goal)]
+    for cfg in configs:
+        oracle = semantic_entails(sigma, goal, cfg)
+        yield [oracle.status.value, _team(oracle.refuter), oracle.teams_checked]
+
+
+def _sweep_instances():
+    shapes = [Atom(pub, prot, 2) for pub, prot in all_normal_shapes(("a", "b", "c"))]
+    instances = (
+        (AtomSet.of(*sigma), goal)
+        for size in range(4)
+        for sigma in itertools.combinations(shapes, size)
+        for goal in shapes
+    )
+    return itertools.islice(instances, 0, None, 30)
+
+
+def _random_instances(rng, count):
+    for i in range(count):
+        attrs = "abcd"[: rng.randint(2, 4)]
+        simple = i % 2 == 0
+
+        def side(low):
+            return tuple(rng.sample(attrs, rng.randint(low, 1 if simple else 2)))
+
+        def one():
+            prot = (rng.choice(attrs),) if simple else side(1)
+            return Atom(tuple(rng.sample(attrs, rng.randint(0, 2))), prot, rng.randint(1, 4))
+
+        sigma = AtomSet.of(*(one() for _ in range(rng.randint(0, 3))))
+        yield attrs, simple, sigma, one()
+
+
+def test_outputs_match_the_pinned_digest():
+    digest = hashlib.sha256()
+
+    def add(parts):
+        for part in parts:
+            digest.update(json.dumps(part).encode())
+            digest.update(b"\n")
+
+    sweep = OracleConfig(domain_size=2, attribute_limit=3)
+    for sigma, goal in _sweep_instances():
+        add(_outputs(sigma, goal, entails_anonymity, (sweep,)))
+    rng = random.Random(12)
+    for attrs, simple, sigma, goal in _random_instances(rng, 500):
+        configs = [
+            OracleConfig(domain_size=3, attribute_limit=2) if len(attrs) == 2 else OracleConfig(),
+            OracleConfig(mode="random", samples=8, seed=rng.randrange(100)),
+        ]
+        add(_outputs(sigma, goal, entails_k_simple if simple else entails_k_saturate, configs))
+    assert digest.hexdigest() == EXPECTED
