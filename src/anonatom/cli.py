@@ -9,6 +9,7 @@ exits with the stable status contract: 0 holds/derivable/entailed,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -19,6 +20,7 @@ from .atoms import UNBOUNDED, Atom, _extractor, group_distinct_counts
 from .errors import AnonatomError, ConfigError
 from .inference import (
     Verdict,
+    _atom_to_dict,
     entails_anonymity,
     entails_k_simple,
     entails_k_saturate,
@@ -39,6 +41,20 @@ _ENTAIL_MODES = {
     "k-simple": entails_k_simple,
     "k-saturate": entails_k_saturate,
 }
+_VERDICT_EXIT = {
+    Verdict.DERIVABLE: EXIT_HOLDS,
+    Verdict.NOT_DERIVABLE: EXIT_FAILS,
+    Verdict.UNKNOWN: EXIT_UNKNOWN,
+}
+_STATUS_EXIT = {
+    OracleStatus.ENTAILED: EXIT_HOLDS,
+    OracleStatus.REFUTED: EXIT_FAILS,
+    OracleStatus.UNKNOWN: EXIT_UNKNOWN,
+}
+
+# What a command returns to ``main``: the exit code, the report's fields
+# after the header ``main`` adds, and the ``--pretty`` lines.
+_Report = tuple[int, dict, list[str]]
 
 
 def _split_names(raw: str) -> tuple[str, ...]:
@@ -54,13 +70,6 @@ def _team_summary(path: str, loaded) -> dict:
     }
 
 
-def _emit(args, document: dict, pretty_lines: list[str]) -> None:
-    if getattr(args, "pretty", False):
-        print("\n".join(pretty_lines))
-    else:
-        print(json.dumps(document))  # with indent, json falls back to pure Python
-
-
 def _atom_text(atom: Atom) -> str | None:
     try:
         return format_atom(atom)
@@ -69,18 +78,15 @@ def _atom_text(atom: Atom) -> str | None:
 
 
 def _derivation_document(derivation) -> dict:
-    doc = derivation.to_dict()
-
-    def attach_text(node: dict) -> None:
-        conclusion = node["conclusion"]
-        atom = Atom(tuple(conclusion["published"]), tuple(conclusion["protected"]), conclusion["k"])
-        text = _atom_text(atom)
-        if text is not None:
-            node["text"] = text
-        for premise in node["premises"]:
-            attach_text(premise)
-
-    attach_text(doc)
+    """``Derivation.to_dict`` with each node's conclusion also as text."""
+    doc = {
+        "rule": derivation.rule.value,
+        "conclusion": _atom_to_dict(derivation.conclusion),
+        "premises": [_derivation_document(premise) for premise in derivation.premises],
+    }
+    text = _atom_text(derivation.conclusion)
+    if text is not None:
+        doc["text"] = text
     return doc
 
 
@@ -108,17 +114,12 @@ def _countermodel_document(report, csv_path: str | None) -> dict:
     return doc
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> _Report:
     loaded = read_team_csv(args.team)
     team = loaded.team
     if loaded.duplicate_rows:
         print(f"warning: collapsed {loaded.duplicate_rows} duplicate row(s)", file=sys.stderr)
-    document: dict = {
-        "tool": "anonatom",
-        "version": __version__,
-        "command": "check",
-        "team": _team_summary(args.team, loaded),
-    }
+    document: dict = {"team": _team_summary(args.team, loaded)}
     pretty = [f"team: {args.team} ({len(team)} rows)"]
     if args.atom is not None:
         atom = parse_atom(args.atom)
@@ -158,11 +159,10 @@ def _cmd_check(args) -> int:
         document["evidence"] = None
         pretty.append(f"formula: {args.formula.strip()}")
         pretty.append(f"verdict: {'holds' if verdict else 'fails'}")
-    _emit(args, document, pretty)
-    return EXIT_HOLDS if verdict else EXIT_FAILS
+    return EXIT_HOLDS if verdict else EXIT_FAILS, document, pretty
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args) -> _Report:
     if args.min_k is not None and args.min_k < 1:
         raise ConfigError(f"--min-k must be at least 1, got {args.min_k}")
     loaded = read_team_csv(args.team)
@@ -179,9 +179,6 @@ def _cmd_audit(args) -> int:
     ]
     unbounded = degree == UNBOUNDED
     document = {
-        "tool": "anonatom",
-        "version": __version__,
-        "command": "audit",
         "team": _team_summary(args.team, loaded),
         "publish": list(publish),
         "protect": list(protect),
@@ -208,18 +205,14 @@ def _cmd_audit(args) -> int:
         pretty.append(f"meets k >= {args.min_k}: {'yes' if meets else 'no'}")
         if not meets:
             status = EXIT_FAILS
-    _emit(args, document, pretty)
-    return status
+    return status, document, pretty
 
 
-def _cmd_entail(args) -> int:
+def _cmd_entail(args) -> _Report:
     sigma = load_sigma_file(args.sigma)
     goal = parse_atom(args.goal)
     result = _ENTAIL_MODES[args.mode](sigma, goal)
     document = {
-        "tool": "anonatom",
-        "version": __version__,
-        "command": "entail",
         "mode": args.mode,
         "sigma": [format_atom(a) for a in sigma.atoms],
         "goal": args.goal.strip(),
@@ -230,9 +223,7 @@ def _cmd_entail(args) -> int:
         document["derivation"] = _derivation_document(result.derivation)
         pretty.append("derivation:")
         pretty.extend(_derivation_pretty(result.derivation, indent=1))
-        _emit(args, document, pretty)
-        return EXIT_HOLDS
-    if result.verdict is Verdict.NOT_DERIVABLE:
+    elif result.verdict is Verdict.NOT_DERIVABLE:
         csv_path = None
         if args.countermodel_out:
             write_team_csv(result.countermodel.team, args.countermodel_out)
@@ -244,15 +235,13 @@ def _cmd_entail(args) -> int:
         )
         if csv_path:
             pretty.append(f"countermodel written to {csv_path}")
-        _emit(args, document, pretty)
-        return EXIT_FAILS
-    document["saturated_atoms"] = len(result.saturated or ())
-    pretty.append(f"saturation closed over {len(result.saturated or ())} atoms without reaching the goal")
-    _emit(args, document, pretty)
-    return EXIT_UNKNOWN
+    else:
+        document["saturated_atoms"] = closed = len(result.saturated or ())
+        pretty.append(f"saturation closed over {closed} atoms without reaching the goal")
+    return _VERDICT_EXIT[result.verdict], document, pretty
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> _Report:
     sigma = load_sigma_file(args.sigma)
     goal = parse_atom(args.goal)
     cfg = OracleConfig(
@@ -264,9 +253,6 @@ def _cmd_oracle(args) -> int:
     )
     result = semantic_entails(sigma, goal, cfg)
     document = {
-        "tool": "anonatom",
-        "version": __version__,
-        "command": "oracle",
         "mode": args.mode,
         "sigma": [format_atom(a) for a in sigma.atoms],
         "goal": args.goal.strip(),
@@ -284,12 +270,7 @@ def _cmd_oracle(args) -> int:
             write_team_csv(result.refuter, args.refuter_out)
             document["refuter"]["csv_path"] = args.refuter_out
             pretty.append(f"refuter written to {args.refuter_out}")
-    _emit(args, document, pretty)
-    if result.status is OracleStatus.ENTAILED:
-        return EXIT_HOLDS
-    if result.status is OracleStatus.REFUTED:
-        return EXIT_FAILS
-    return EXIT_UNKNOWN
+    return _STATUS_EXIT[result.status], document, pretty
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -308,25 +289,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"anonatom {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
+    report = argparse.ArgumentParser(add_help=False)  # the options of every command
+    report.add_argument("--pretty", action="store_true", help="human-readable output")
+    command = functools.partial(commands.add_parser, parents=[report])
 
-    check = commands.add_parser("check", help="evaluate one atom or formula on a CSV team")
+    check = command("check", help="evaluate one atom or formula on a CSV team")
     check.add_argument("--team", required=True, help="CSV file with a header row")
     what = check.add_mutually_exclusive_group(required=True)
     what.add_argument("--atom", help="atom text, e.g. 'hometown salary Y surname'")
     what.add_argument("--formula", help="formula text, e.g. 'pub = \"private\" -> anon(2 ; d ; a)'")
     check.add_argument("--domain", help="comma-separated quantifier domain (default: team values)")
-    check.add_argument("--pretty", action="store_true", help="human-readable output")
     check.set_defaults(func=_cmd_check)
 
-    audit = commands.add_parser("audit", help="largest k keeping protected attributes k-anonymous")
+    audit = command("audit", help="largest k keeping protected attributes k-anonymous")
     audit.add_argument("--team", required=True)
     audit.add_argument("--publish", required=True, help="comma-separated published attributes")
     audit.add_argument("--protect", required=True, help="comma-separated protected attributes")
     audit.add_argument("--min-k", type=int, default=None, help="exit 1 when the degree is below K")
-    audit.add_argument("--pretty", action="store_true")
     audit.set_defaults(func=_cmd_audit)
 
-    entail = commands.add_parser("entail", help="decide whether hypotheses entail a goal atom")
+    entail = command("entail", help="decide whether hypotheses entail a goal atom")
     entail.add_argument("--sigma", required=True, help="hypothesis file, one atom per line")
     entail.add_argument("--goal", required=True, help="goal atom text")
     entail.add_argument(
@@ -336,10 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="fragment: plain anonymity atoms, simple k-atoms, or sound saturation",
     )
     entail.add_argument("--countermodel-out", help="write the refuting team as CSV")
-    entail.add_argument("--pretty", action="store_true")
     entail.set_defaults(func=_cmd_entail)
 
-    oracle = commands.add_parser("oracle", help="brute-force semantic entailment over small domains")
+    oracle = command("oracle", help="brute-force semantic entailment over small domains")
     oracle.add_argument("--sigma", required=True)
     oracle.add_argument("--goal", required=True)
     oracle.add_argument("--attrs", type=int, default=4, help="attribute limit (at most 4)")
@@ -348,26 +329,26 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--samples", type=int, default=1000)
     oracle.add_argument("--seed", type=int, default=0)
     oracle.add_argument("--refuter-out", help="write the refuting team as CSV")
-    oracle.add_argument("--pretty", action="store_true")
     oracle.set_defaults(func=_cmd_oracle)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    header = {"tool": "anonatom", "version": __version__}
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code, fields, pretty = args.func(args)
+        if args.pretty:
+            print("\n".join(pretty))
+        else:  # with indent, json falls back to pure Python
+            print(json.dumps({**header, "command": args.command, **fields}))
+        return code
     except SystemExit as exit_:  # --help or --version, already printed
         code = exit_.code
         return code if isinstance(code, int) else EXIT_ERROR
     except (AnonatomError, OSError, ValueError, argparse.ArgumentError) as exc:
-        record = {
-            "tool": "anonatom",
-            "version": __version__,
-            "error": {"kind": type(exc).__name__, "message": str(exc)},
-        }
-        print(json.dumps(record))
+        print(json.dumps({**header, "error": {"kind": type(exc).__name__, "message": str(exc)}}))
         return EXIT_ERROR
 
 

@@ -20,11 +20,12 @@ Three constructions are used, all over decimal string tokens "0", "1",
   hypotheses refutes them; the full grid over a domain at least as large
   as every hypothesis multiplicity does.
 
-Builders verify their own output with the checkers and raise
-``VerificationError`` instead of returning an unverified report.  The
-public builders check their fragment and put ``(sigma, goal)`` in normal
-form (``inference._Query``); the engines and the oracle pass the form
-they hold straight to the constructions.  The size caps are the module
+Each construction checks its grid with the checkers and returns None
+when the grid does not refute; the public builders and the engines raise
+``VerificationError`` then instead of returning an unverified report.
+The public builders check their fragment and put ``(sigma, goal)`` in
+normal form (``inference._Query``); the engines and the oracle pass the
+form they hold straight to the constructions.  The size caps are the module
 constants below, checked before any row is built.
 
 A grid depends only on its shape: the number of attributes, the domain
@@ -35,9 +36,11 @@ grid space (at most ``GRID_SPACE_ATTRIBUTES`` attributes over at most
 shape and kept, with a memo of ``satisfies`` verdicts on them keyed by
 the atom's form, k clamped to the grid's rows + 1, so the engines and
 the oracle build each small grid once and check each atom shape on it
-once.  The cache is bounded by that grid space: a few hundred shapes,
-each with at most 3^4 atom sides times 82 multiplicities.  Larger grids
-are built and checked on every call.  Each team still carries the
+once.  The oracle keeps its bitmaps over the teams of a full grid on
+that grid's entry (``_Grid.lattice``), so this is the one process-wide
+grid cache.  It is bounded by that grid space: a few hundred shapes, each
+with at most 3^4 atom sides times 82 multiplicities.  Larger grids are
+built and checked on every call.  Each team still carries the
 instance's own attribute names, and ``verify_countermodel`` always runs
 the checkers on the team itself.
 """
@@ -82,7 +85,10 @@ class CountermodelReport:
 
 def verify_countermodel(report: CountermodelReport, sigma: AtomSet, goal: Atom) -> bool:
     """Re-run the checkers: every hypothesis holds and the goal fails."""
-    team = report.team
+    return _refutes(report.team, sigma, goal)
+
+
+def _refutes(team: Team, sigma: AtomSet, goal: Atom) -> bool:
     return all(satisfies(team, hyp) for hyp in sigma.atoms) and not satisfies(team, goal)
 
 
@@ -103,10 +109,10 @@ def _report(
     return CountermodelReport(team, status, goal, domain_size, construction)
 
 
-def _checked_report(
-    team: Team, holds: _Holds, query: _Query, domain_size: int, construction: str
+def _verified(
+    report: CountermodelReport | None, query: _Query, construction: str
 ) -> CountermodelReport:
-    report = _report(team, holds, query, domain_size, construction)
+    """``report``, or VerificationError when ``construction`` did not refute."""
     if report is None:
         raise VerificationError(
             f"{construction} construction failed verification for goal {query.goal} "
@@ -117,27 +123,36 @@ def _checked_report(
 
 class _Grid:
     """The rows of one grid shape, over tokens and sorted attribute positions,
-    with the ``satisfies`` verdict of each atom form checked on them."""
+    with the ``satisfies`` verdict of each atom form checked on them.
+
+    ``lattice`` is free for the oracle's bitmaps over the teams of a full
+    grid; it stays None until the oracle enumerates this grid."""
 
     def __init__(self, rows: frozenset[Row]):
         self.rows = rows
         self.most = len(rows) + 1  # no group of these rows shows more values
         self.schema: Schema | None = None  # the last caller's, already validated
+        self.lattice: object | None = None
         self._verdicts: dict[_Form, bool] = {}
 
-    def team(self, names: tuple[str, ...]) -> Team:
-        """The grid as a team over ``names``; SchemaError if one is invalid."""
+    def clamp(self, form: _Form) -> _Form:
+        """``form`` with k clamped to rows + 1: an atom of the clamped form
+        holds on the same teams over these rows."""
+        return form if form[2] <= self.most else (form[0], form[1], self.most)
+
+    def team(self, names: tuple[str, ...], rows: frozenset[Row] | None = None) -> Team:
+        """The grid, or its subteam ``rows``, as a team over ``names``;
+        SchemaError if a name is invalid."""
         schema = self.schema
         if schema is None or schema.attributes != names:
             schema = self.schema = Schema(names)
-        return Team._trusted(schema, self.rows)
+        return Team._trusted(schema, self.rows if rows is None else rows)
 
     def holds(self, team: Team, atom: Atom, form: _Form) -> bool:
         """``satisfies(team, atom)`` for a ``team`` over this grid's rows,
-        checked once per ``form`` of ``atom`` over the team's attributes,
-        with k clamped to rows + 1."""
-        if form[2] > self.most:
-            form = (form[0], form[1], self.most)
+        checked once per clamped ``form`` of ``atom`` over the team's
+        attributes."""
+        form = self.clamp(form)
         verdict = self._verdicts.get(form)
         if verdict is None:
             verdict = self._verdicts[form] = satisfies(team, atom)
@@ -169,23 +184,16 @@ def _grid_rows(
     return frozenset(grid({}) - grid(zero) | grid({**zero, **low}))
 
 
-def _grid_team(
-    names: tuple[str, ...],
-    domain_size: int,
-    published: int = 0,
-    protected: int = 0,
-    bound: int = 0,
-) -> tuple[Team, _Holds]:
-    """The grid of ``_grid_rows`` over the sorted ``names`` x
-    {0..domain_size-1} as a team over ``names``, with the check of an atom
-    on it; ResourceError past ``MAX_ROWS`` assignments.
+def _grid(
+    n: int, domain_size: int, published: int = 0, protected: int = 0, bound: int = 0
+) -> _Grid:
+    """The grid of ``_grid_rows`` over ``n`` sorted attribute positions x
+    {0..domain_size-1}; ResourceError past ``MAX_ROWS`` assignments.
 
-    ``published`` and ``protected`` are disjoint masks over ``names``; with
-    no protected attributes every assignment is kept.  Grids inside the
-    oracle's grid space come from the shape cache, and their check reads
-    its memo.
+    ``published`` and ``protected`` are disjoint position masks; with no
+    protected positions every assignment is kept (the full grid).  Grids
+    inside the oracle's grid space come from the shape cache.
     """
-    n = len(names)
     if domain_size**n > MAX_ROWS:
         raise ResourceError(f"domain {domain_size} over {n} attributes exceeds {MAX_ROWS} rows")
     key = (n, domain_size, published, protected, bound)
@@ -194,7 +202,7 @@ def _grid_team(
         grid = _Grid(_grid_rows(*key))
         if n <= GRID_SPACE_ATTRIBUTES and domain_size <= GRID_SPACE_DOMAIN:
             _grids[key] = grid
-    return grid.team(names), grid.holds
+    return grid
 
 
 def _protecting(sigma: AtomSet, goal: Atom) -> _Query:
@@ -215,10 +223,11 @@ def build_anonymity_countermodel(sigma: AtomSet, goal: Atom) -> CountermodelRepo
     """
     if goal.k != 2 or any(a.k != 2 for a in sigma.atoms):
         raise FragmentError("the ternary construction covers multiplicity-2 atoms only")
-    return _ternary(_protecting(sigma, goal))
+    query = _protecting(sigma, goal)
+    return _verified(_ternary(query), query, CONSTRUCTION_TERNARY)
 
 
-def _ternary(query: _Query) -> CountermodelReport:
+def _ternary(query: _Query) -> CountermodelReport | None:
     n = len(query.attrs)
     if n > MAX_ATTRIBUTES:
         raise ResourceError(
@@ -226,8 +235,8 @@ def _ternary(query: _Query) -> CountermodelReport:
             f"cap is {MAX_ATTRIBUTES} (try a smaller instance)"
         )
     published, protected, _ = query.goal_form
-    team, holds = _grid_team(query.attrs, 3, published, protected)
-    return _checked_report(team, holds, query, 3, CONSTRUCTION_TERNARY)
+    grid = _grid(n, 3, published, protected)
+    return _report(grid.team(query.attrs), grid.holds, query, 3, CONSTRUCTION_TERNARY)
 
 
 def build_k_anonymity_countermodel(sigma: AtomSet, goal: Atom) -> CountermodelReport:
@@ -261,8 +270,8 @@ def _truncated(query: _Query) -> CountermodelReport:
     max_mult = max((form[2] for _, form in query.hyps), default=1)
     domain = max(3, k + max(1, max_mult))
     while domain <= MAX_DOMAIN:
-        team, holds = _grid_team(query.attrs, domain, published, protected, k - 2)
-        report = _report(team, holds, query, domain, CONSTRUCTION_TRUNCATED)
+        grid = _grid(len(query.attrs), domain, published, protected, k - 2)
+        report = _report(grid.team(query.attrs), grid.holds, query, domain, CONSTRUCTION_TRUNCATED)
         if report is not None:
             return report
         domain += 1
@@ -278,22 +287,24 @@ def build_full_grid_countermodel(sigma: AtomSet, goal: Atom) -> CountermodelRepo
     _, protected, k = query.goal_form
     if protected or k < 2:
         raise ValueError("the full grid refutes empty-protected goals with k >= 2 only")
-    return _full_grid(query)
+    return _verified(_full_grid(query), query, CONSTRUCTION_FULL)
 
 
-def _full_grid(query: _Query) -> CountermodelReport:
+def _full_grid(query: _Query) -> CountermodelReport | None:
     domain = max(2, max((form[2] for _, form in query.hyps), default=2))
-    team, holds = _grid_team(query.attrs, domain)
-    return _checked_report(team, holds, query, domain, CONSTRUCTION_FULL)
+    grid = _grid(len(query.attrs), domain)
+    return _report(grid.team(query.attrs), grid.holds, query, domain, CONSTRUCTION_FULL)
 
 
 def witness_report(team: Team, sigma: AtomSet, goal: Atom) -> CountermodelReport:
     """Wrap an explicitly supplied team as a verified countermodel."""
     distinct_values = {v for row in team.rows for v in row}
-    return _checked_report(
-        team, lambda team, atom, _: satisfies(team, atom), _Query(sigma, goal),
+    query = _Query(sigma, goal)
+    report = _report(
+        team, lambda team, atom, _: satisfies(team, atom), query,
         len(distinct_values), CONSTRUCTION_WITNESS,
     )
+    return _verified(report, query, CONSTRUCTION_WITNESS)
 
 
 def candidate_teams(sigma: AtomSet, goal: Atom) -> Iterator[tuple[str, Team]]:
@@ -310,18 +321,22 @@ def candidate_teams(sigma: AtomSet, goal: Atom) -> Iterator[tuple[str, Team]]:
 def _candidates(query: _Query) -> Iterator[tuple[str, Team]]:
     _, protected, k = query.goal_form
     if not protected and k >= 2:
-        try:
-            yield CONSTRUCTION_FULL, _full_grid(query).team
-        except (ResourceError, VerificationError):
-            pass
+        yield from _candidate(CONSTRUCTION_FULL, _full_grid, query)
         return
     if k == 2 and all(form[2] == 2 for _, form in query.hyps):
-        try:
-            yield CONSTRUCTION_TERNARY, _ternary(query).team
-        except (ResourceError, VerificationError):
-            pass
+        yield from _candidate(CONSTRUCTION_TERNARY, _ternary, query)
     if k >= 2 and all(atom.is_simple for atom in (*query.sigma.atoms, query.goal)):
-        try:
-            yield CONSTRUCTION_TRUNCATED, _truncated(query).team
-        except (ResourceError, VerificationError, ValueError):
-            pass
+        yield from _candidate(CONSTRUCTION_TRUNCATED, _truncated, query)
+
+
+def _candidate(
+    construction: str, build: Callable[[_Query], CountermodelReport | None], query: _Query
+) -> Iterator[tuple[str, Team]]:
+    """The team ``build`` makes, if it refutes within the caps (the
+    truncated grid's guard raises ValueError on instances it cannot refute)."""
+    try:
+        report = build(query)
+    except (ResourceError, ValueError):
+        return
+    if report is not None:
+        yield construction, report.team

@@ -308,12 +308,15 @@ def _subsuming(hyps: Iterable[tuple[Atom, _Form]], goal: _Form) -> Atom | None:
 
 
 def _decide(
-    sigma: AtomSet, goal: Atom, refute: Callable[[_Query], "CountermodelReport"]
+    sigma: AtomSet,
+    goal: Atom,
+    refute: Callable[[_Query], "CountermodelReport | None"],
+    construction: str,
 ) -> Entailment:
     """The complete decision shared by the plain and the simple fragment.
     The full grid refutes a goal that protects nothing after cancellation
     (no hypothesis of a consistent set subsumes one); the fragment's
-    construction ``refute`` refutes the rest."""
+    ``construction``, built by ``refute``, refutes the rest."""
     query = _Query(sigma, goal)
     settled = _settled(query)
     if settled is not None:
@@ -321,11 +324,13 @@ def _decide(
     hyp = _subsuming(query.hyps, query.goal_form)
     if hyp is not None:
         return Entailment(Verdict.DERIVABLE, derivation=_weakening(hyp, goal))
-    from .countermodel import _full_grid  # deferred: it imports this module
+    # deferred: countermodel imports this module
+    from .countermodel import CONSTRUCTION_FULL, _full_grid, _verified
 
     if not query.goal_form[1]:
-        refute = _full_grid
-    return Entailment(Verdict.NOT_DERIVABLE, countermodel=refute(query))
+        refute, construction = _full_grid, CONSTRUCTION_FULL
+    report = _verified(refute(query), query, construction)
+    return Entailment(Verdict.NOT_DERIVABLE, countermodel=report)
 
 
 def entails_anonymity(sigma: AtomSet, goal: Atom) -> Entailment:
@@ -344,9 +349,9 @@ def entails_anonymity(sigma: AtomSet, goal: Atom) -> Entailment:
                 f"hypothesis {atom} has multiplicity {atom.k}; "
                 "use entails_k_simple or entails_k_saturate"
             )
-    from .countermodel import _ternary
+    from .countermodel import CONSTRUCTION_TERNARY, _ternary
 
-    return _decide(sigma, goal, _ternary)
+    return _decide(sigma, goal, _ternary, CONSTRUCTION_TERNARY)
 
 
 def entails_k_simple(sigma: AtomSet, goal: Atom) -> Entailment:
@@ -357,9 +362,9 @@ def entails_k_simple(sigma: AtomSet, goal: Atom) -> Entailment:
             raise FragmentError(
                 f"{atom} is not simple (one protected attribute); use entails_k_saturate"
             )
-    from .countermodel import _truncated
+    from .countermodel import CONSTRUCTION_TRUNCATED, _truncated
 
-    return _decide(sigma, goal, _truncated)
+    return _decide(sigma, goal, _truncated, CONSTRUCTION_TRUNCATED)
 
 
 # Saturation bookkeeping: per (published, protected) pair we keep the best

@@ -16,10 +16,12 @@ builder's check says it refutes.  A call puts the question in normal
 form once (``inference._Query``), and the candidates, the shape cache
 and the bitmaps all read that form.
 
-Exhaustive mode builds no team to check them: per atom it computes one
-bitmap, one bit per team over the grid of assignments, straight from
-the grid rows (``_GridCache``), and the lowest set bit of the refuting
-bitmap names the one team it builds, the refuter.
+Exhaustive mode enumerates the teams over the full grid of the shape
+cache, the grid the full-grid construction uses at that domain, and
+builds no team to check them: per atom it computes one bitmap, one bit
+per team, straight from the grid rows (``_Lattice``, kept on the grid's
+cache entry), and the lowest set bit of the refuting bitmap names the
+one team it builds, the refuter.
 
 Exhaustive mode answers ENTAILED or REFUTED; random mode answers
 REFUTED or UNKNOWN, never ENTAILED.  For instances mentioning
@@ -30,15 +32,16 @@ unless the domain exceeds the largest multiplicity mentioned.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .atoms import Atom, satisfies
-from .countermodel import GRID_SPACE_ATTRIBUTES, GRID_SPACE_DOMAIN, _candidates
+from .atoms import Atom
+from .countermodel import (
+    GRID_SPACE_ATTRIBUTES, GRID_SPACE_DOMAIN, _candidates, _Grid, _grid, _refutes,
+)
 from .errors import ConfigError
 from .inference import AtomSet, _Form, _Query
 from .team import Schema, Team
@@ -109,14 +112,15 @@ def random_team(
     return Team(schema, frozenset(rows))
 
 
-class _GridCache:
-    """Satisfaction bitmaps for one grid shape, computed from the grid rows.
+class _Lattice:
+    """Satisfaction bitmaps over the teams of one full grid, computed from
+    its rows.
 
-    The grid holds every assignment of ``domain`` values to ``arity``
-    sorted attribute positions, in ``itertools.product`` order.  Team i
-    selects grid row j iff bit j of i is set, so a bitmap has one bit per
-    team (2^g bits for g rows) and the lowest refuting index is also the
-    canonical first refuter.  No team is built to fill a bitmap:
+    The rows are the grid's in sorted order, which for one-digit tokens is
+    ``itertools.product`` order.  Team i selects row j iff bit j of i is
+    set, so a bitmap has one bit per team (2^g bits for g rows) and the
+    lowest refuting index is also the canonical first refuter.  No team is
+    built to fill a bitmap:
 
     * ``R_j``, the teams containing row j, is the periodic pattern of 2^j
       clear bits then 2^j set bits.
@@ -130,20 +134,17 @@ class _GridCache:
     * The atom's mask is the AND over groups; k = 1 gives every team.
 
     Masks are keyed by the atom's form over the sorted attributes
-    (``inference._Query``): the published and the protected position
-    bitmasks (shared positions cancel from the protected side) and k,
-    clamped here to g + 1, since no group shows more than g values.  Keys
-    over one shape are therefore finite: 3^arity sides times g + 1
-    multiplicities.
+    (``inference._Query``), clamped by the grid (``_Grid.clamp``), so keys
+    over one shape are finite: 3^arity sides times g + 1 multiplicities.
     """
 
-    def __init__(self, arity: int, domain: tuple[str, ...]):
-        self.grid = list(itertools.product(domain, repeat=arity))
-        self.count = 1 << len(self.grid)
+    def __init__(self, grid: _Grid):
+        self.grid = grid
+        self.rows = sorted(grid.rows)
+        self.count = 1 << len(self.rows)
         self.every_team = (1 << self.count) - 1
-        self.most = len(self.grid) + 1  # no group of the grid shows more values
-        self._containing = [self._teams_containing(j) for j in range(len(self.grid))]
-        self._masks: dict[tuple[int, int, int], int] = {}
+        self._containing = [self._teams_containing(j) for j in range(len(self.rows))]
+        self._masks: dict[_Form, int] = {}
 
     def _teams_containing(self, row: int) -> int:
         """``R_row``: one period, 2^row clear bits then 2^row set bits,
@@ -155,8 +156,7 @@ class _GridCache:
     def mask(self, form: _Form) -> int:
         """The teams satisfying an atom of ``form`` over the grid's
         attribute positions."""
-        if form[2] > self.most:
-            form = (form[0], form[1], self.most)
+        form = self.grid.clamp(form)
         cached = self._masks.get(form)
         if cached is None:
             cached = self._masks[form] = self._build(*form)
@@ -166,7 +166,7 @@ class _GridCache:
         published = [i for i in range(published_mask.bit_length()) if published_mask >> i & 1]
         protected = [i for i in range(protected_mask.bit_length()) if protected_mask >> i & 1]
         groups: dict[tuple[str, ...], dict[tuple[str, ...], int]] = defaultdict(dict)
-        for row, containing in zip(self.grid, self._containing):
+        for row, containing in zip(self.rows, self._containing):
             values = groups[tuple(row[i] for i in published)]
             value = tuple(row[i] for i in protected)
             values[value] = values.get(value, 0) | containing
@@ -180,24 +180,9 @@ class _GridCache:
         return mask
 
     def team(self, attributes: tuple[str, ...], index: int) -> Team:
-        """Team ``index`` over this grid, with ``attributes`` (``arity``
-        names) as its schema."""
-        rows = (row for j, row in enumerate(self.grid) if index >> j & 1)
-        return Team._trusted(Schema(attributes), frozenset(rows))
-
-
-_grid_caches: dict[tuple[int, tuple[str, ...]], _GridCache] = {}
-
-
-def _cache_for(arity: int, domain: tuple[str, ...]) -> _GridCache:
-    key = (arity, domain)
-    if key not in _grid_caches:
-        _grid_caches[key] = _GridCache(arity, domain)
-    return _grid_caches[key]
-
-
-def _refutes(team: Team, sigma: AtomSet, goal: Atom) -> bool:
-    return all(satisfies(team, hyp) for hyp in sigma.atoms) and not satisfies(team, goal)
+        """Team ``index`` of the lattice, with ``attributes`` as its schema."""
+        rows = frozenset(row for j, row in enumerate(self.rows) if index >> j & 1)
+        return self.grid.team(attributes, rows)
 
 
 def semantic_entails(sigma: AtomSet, goal: Atom, cfg: OracleConfig) -> OracleResult:
@@ -212,22 +197,25 @@ def semantic_entails(sigma: AtomSet, goal: Atom, cfg: OracleConfig) -> OracleRes
     candidate = next(_candidates(query), None)
     if candidate is not None:  # verified by its builder: it refutes
         return OracleResult(OracleStatus.REFUTED, candidate[1], 1)
-    domain = tuple(str(i) for i in range(cfg.domain_size))
 
     if cfg.mode == EXHAUSTIVE:  # the config keeps the grid within _MAX_GRID rows
-        cache = _cache_for(len(attrs), domain)
-        sigma_mask = cache.every_team
+        grid = _grid(len(attrs), cfg.domain_size)
+        lattice = grid.lattice
+        if lattice is None:
+            lattice = grid.lattice = _Lattice(grid)
+        sigma_mask = lattice.every_team
         for _, form in query.hyps:
-            sigma_mask &= cache.mask(form)
-        refuting = sigma_mask & ~cache.mask(query.goal_form)
+            sigma_mask &= lattice.mask(form)
+        refuting = sigma_mask & ~lattice.mask(query.goal_form)
         if refuting:
             index = (refuting & -refuting).bit_length() - 1
-            return OracleResult(OracleStatus.REFUTED, cache.team(attrs, index), cache.count)
+            return OracleResult(OracleStatus.REFUTED, lattice.team(attrs, index), lattice.count)
         largest = max((a.k for a in (*sigma.atoms, goal)), default=2)
         if largest > 2 and cfg.domain_size < largest + 1:
-            return OracleResult(OracleStatus.UNKNOWN, None, cache.count)
-        return OracleResult(OracleStatus.ENTAILED, None, cache.count)
+            return OracleResult(OracleStatus.UNKNOWN, None, lattice.count)
+        return OracleResult(OracleStatus.ENTAILED, None, lattice.count)
 
+    domain = tuple(str(i) for i in range(cfg.domain_size))
     rng = random.Random(cfg.seed)
     budget = min(16, len(domain) ** len(attrs)) if attrs else 1
     for checked in range(1, cfg.samples + 1):

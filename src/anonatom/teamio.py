@@ -30,10 +30,11 @@ def read_team_csv(source: Source) -> LoadedTeam:
     The first record is the header of distinct attribute names; duplicate
     data rows collapse (the count is reported), ragged rows are parse
     errors with their line number, and a file without a header is a
-    schema error.
+    schema error.  A file may start with a UTF-8 byte-order mark, which is
+    not part of the first name.
     """
     if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8") as handle:
+        with open(source, newline="", encoding="utf-8-sig") as handle:
             return _read(handle)
     return _read(source)
 
@@ -84,5 +85,6 @@ def team_to_csv_text(team: Team) -> str:
 
 
 def load_sigma_file(path: str | Path) -> AtomSet:
-    """Read a hypothesis file: one atom per line, ``#`` comments allowed."""
-    return parse_sigma(Path(path).read_text(encoding="utf-8"))
+    """Read a hypothesis file: one atom per line, ``#`` comments allowed, and
+    an optional UTF-8 byte-order mark first."""
+    return parse_sigma(Path(path).read_text(encoding="utf-8-sig"))

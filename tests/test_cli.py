@@ -680,3 +680,23 @@ def test_pretty_entail_and_oracle_reports(capsys, tmp_path, chain_sigma):
         assert code == expected_code, argv
         assert out == "\n".join(expected) + "\n", argv
     assert read_team_csv(str(countermodel)).team == read_team_csv(str(refuter)).team
+
+
+def test_byte_order_mark_is_not_part_of_the_first_name(capsys, tmp_path):
+    sigma = tmp_path / "sigma.txt"
+    sigma.write_text("\ufeffx Y y\n", encoding="utf-8")
+    for command in ("entail", "oracle"):
+        code, doc = run_json(capsys, command, "--sigma", str(sigma), "--goal", "x Y y")
+        assert code == 0, doc
+        assert doc["sigma"] == ["x Y y"]
+
+
+def test_csv_with_a_byte_order_mark_audits(capsys, tmp_path, census_csv):
+    team = tmp_path / "bom.csv"
+    team.write_text("\ufeff" + CENSUS_CSV, encoding="utf-8")
+    argv = ["--publish", "hometown,salary", "--protect", "surname"]
+    code, doc = run_json(capsys, "audit", "--team", str(team), *argv)
+    assert code == 0, doc
+    _, plain = run_json(capsys, "audit", "--team", census_csv, *argv)
+    assert doc["team"]["attributes"] == plain["team"]["attributes"] == ["surname", "hometown", "salary"]
+    assert doc["degree"] == plain["degree"] == 2

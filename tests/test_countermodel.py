@@ -25,7 +25,7 @@ from anonatom import (
     witness_report,
 )
 from anonatom import countermodel
-from anonatom.countermodel import _grid_team
+from anonatom.countermodel import _grid
 from conftest import TRANSITIVITY_ATTRS, TRANSITIVITY_ROWS, all_normal_shapes, form
 
 
@@ -230,9 +230,11 @@ class TestShapeCache:
         for pub, prot in all_normal_shapes(attrs):
             fresh = Team.of(attrs, grid_rows(attrs, domain, pub, prot, bound))
             masks = form(Atom(pub, prot), attrs)[:2]
-            team, holds = _grid_team(attrs, domain, *masks, bound)
+            grid = _grid(len(attrs), domain, *masks, bound)
+            team, holds = grid.team(attrs), grid.holds
             # the same shape under other names reads the memo the first call filled
-            other, other_holds = _grid_team(others, domain, *masks, bound)
+            other_grid = _grid(len(others), domain, *masks, bound)
+            other, other_holds = other_grid.team(others), other_grid.holds
             assert team.rows == fresh.rows and other.rows is team.rows
             for sides in all_normal_shapes(attrs):
                 for k in range(1, len(fresh) + 3):

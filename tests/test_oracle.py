@@ -208,15 +208,15 @@ class TestIndependence:
 class TestBitmaps:
     @pytest.mark.parametrize("attrs, domain", [(("a", "b"), ("0", "1", "2")), (("a", "b", "c"), ("0", "1"))])
     def test_every_normal_atom_matches_brute_force(self, attrs, domain):
-        cache = oracle._GridCache(len(attrs), domain)
+        cache = oracle._Lattice(countermodel._grid(len(attrs), len(domain)))
         teams = lattice(attrs, domain)
-        g = len(cache.grid)
+        g = len(cache.rows)
         for a in normal_atoms(attrs, range(1, g + 3)):
             assert cache.mask(form(a, attrs)) == brute_force_mask(teams, a), a
 
     def test_sampled_atoms_at_four_attributes(self):
         attrs, domain = ("a", "b", "c", "d"), ("0", "1")
-        cache = oracle._GridCache(len(attrs), domain)
+        cache = oracle._Lattice(countermodel._grid(len(attrs), len(domain)))
         teams = lattice(attrs, domain)
         rng = random.Random(6)
         for _ in range(3):
@@ -229,14 +229,14 @@ class TestBitmaps:
             assert cache.mask(form(a, attrs)) == brute_force_mask(teams, a), a
 
     def test_cache_keyed_by_shape(self):
-        oracle._grid_caches.clear()
+        countermodel._grids.clear()
         first_sigma, first_goal = GRID_REFUTED[0]
         second_sigma = AtomSet.of(atom("r", "pq", 3), atom("r", "q"))
         first = semantic_entails(first_sigma, first_goal, CFG2)
-        cache = oracle._grid_caches[(3, ("0", "1"))]
+        cache = countermodel._grids[(3, 2, 0, 0, 0)].lattice
         masks = len(cache._masks)
         second = semantic_entails(second_sigma, atom("p", "rq"), CFG2)
-        assert list(oracle._grid_caches) == [(3, ("0", "1"))]
+        assert countermodel._grids[(3, 2, 0, 0, 0)].lattice is cache
         assert len(cache._masks) == masks
         assert first.refuter.schema.attributes == ("a", "b", "c")
         assert second.refuter.schema.attributes == ("p", "q", "r")
@@ -245,9 +245,21 @@ class TestBitmaps:
 
     def test_multiplicity_clamped_past_the_grid(self):
         attrs = ("a", "b")
-        cache = oracle._GridCache(len(attrs), ("0", "1"))
+        cache = oracle._Lattice(countermodel._grid(len(attrs), 2))
         assert cache.mask(form(atom("a", "b", 5), attrs)) == cache.mask(form(atom("a", "b", 50), attrs))
         assert len(cache._masks) == 1
+
+    def test_bitmaps_live_on_the_full_grid_entry(self):
+        countermodel._grids.clear()
+        sigma, goal = AtomSet.of(atom("xy", "z")), atom("x", "z")
+        assert semantic_entails(sigma, goal, CFG2).status is OracleStatus.ENTAILED
+        full = countermodel._grids[(3, 2, 0, 0, 0)]
+        assert full.lattice.grid is full
+        assert [entry for entry in countermodel._grids.values() if entry.lattice] == [full]
+        # no second cache keeps them: clearing the shape cache drops the bitmaps
+        countermodel._grids.clear()
+        assert semantic_entails(sigma, goal, CFG2).teams_checked == 256
+        assert countermodel._grids[(3, 2, 0, 0, 0)].lattice not in (None, full.lattice)
 
 
 class TestCanonicalRefuter:
