@@ -3,7 +3,8 @@
 Each invocation writes one structured JSON report, on one line, to
 standard output (or a human-readable rendering with ``--pretty``) and
 exits with the stable status contract: 0 holds/derivable/entailed,
-1 fails/refuted, 2 usage or input error, 3 unknown.
+1 fails/refuted, 2 usage or input error, 3 unknown.  ``main`` builds the
+report's header and prints every report, error records included.
 """
 
 from __future__ import annotations
