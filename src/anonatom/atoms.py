@@ -149,15 +149,12 @@ def _extractor(team: Team, attrs: Sequence[str]) -> Callable[[Row], Row]:
     """Row -> value tuple over ``attrs``, bound to this team's schema.
 
     Always a tuple: ``itemgetter`` returns a bare value for one index and
-    cannot be built from none, so those two cases get their own branch.
+    cannot be built from none, so those two cases take a slice instead.
     """
     idx = team.schema.indexes(attrs)
-    if not idx:
-        return lambda row: ()
-    if len(idx) == 1:
-        i = idx[0]
-        return lambda row: (row[i],)
-    return itemgetter(*idx)
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0))
 
 
 def _groups(team: Team, published: Sequence[str], protected: Sequence[str]) -> dict[Row, list[Row]]:

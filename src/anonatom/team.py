@@ -91,7 +91,7 @@ class Team:
     rows: frozenset[Row]
 
     def __post_init__(self) -> None:
-        rows = frozenset(tuple(r) for r in self.rows)
+        rows = frozenset(map(tuple, self.rows))
         width = len(self.schema)
         for row in rows:
             if len(row) != width:
@@ -121,7 +121,7 @@ class Team:
     @classmethod
     def of(cls, attributes: Sequence[str], rows: Iterable[Sequence[str]]) -> "Team":
         """Build a team from attribute names and an iterable of row tuples."""
-        return cls(Schema(tuple(attributes)), frozenset(tuple(r) for r in rows))
+        return cls(Schema(tuple(attributes)), rows)  # type: ignore[arg-type]
 
     @classmethod
     def from_records(
@@ -146,7 +146,7 @@ class Team:
                     parts.append(f"unexpected {extra}")
                 raise SchemaError("record does not match schema: " + ", ".join(parts))
             rows.append(tuple(record[a] for a in schema.attributes))
-        return cls(schema, frozenset(rows))
+        return cls(schema, rows)  # type: ignore[arg-type]
 
     @property
     def is_empty(self) -> bool:

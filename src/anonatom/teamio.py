@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Union
@@ -30,8 +31,8 @@ def read_team_csv(source: Source) -> LoadedTeam:
     The first record is the header of distinct attribute names; duplicate
     data rows collapse (the count is reported), ragged rows are parse
     errors with their line number, and a file without a header is a
-    schema error.  A file may start with a UTF-8 byte-order mark, which is
-    not part of the first name.
+    schema error.  A file or stream may start with a byte-order mark, which
+    is not part of the first name.  Equal values share one ``str`` object.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="", encoding="utf-8-sig") as handle:
@@ -40,7 +41,13 @@ def read_team_csv(source: Source) -> LoadedTeam:
 
 
 def _read(handle: IO[str]) -> LoadedTeam:
-    reader = csv.reader(handle)
+    # a leading byte-order mark is not part of the first name; a path's
+    # decoder has already dropped it, a stream's text may still hold it
+    first = handle.readline().removeprefix("\ufeff")
+    reader = csv.reader(itertools.chain((first,) if first else (), handle))
+    # one str object per distinct value: census columns repeat heavily, and
+    # a shared value is stored once and hashes once when rows are grouped
+    intern = {}.setdefault
     try:
         header = next(reader, None)
         if header is None:
@@ -55,7 +62,7 @@ def _read(handle: IO[str]) -> LoadedTeam:
                 raise ParseError(
                     f"expected {width} fields, got {len(record)}", line=reader.line_num
                 )
-            rows.append(tuple(record))
+            rows.append(tuple(map(intern, record, record)))
     except csv.Error as exc:
         raise ParseError(str(exc), line=reader.line_num) from exc
     # the reader yields only strings, and every width is checked above

@@ -21,6 +21,7 @@ from anonatom import (
     group_by,
     satisfies,
 )
+from anonatom.atoms import _extractor
 from anonatom.reference import (
     check_anonymity_via_inclusion,
     check_k_anonymity_existential,
@@ -275,11 +276,24 @@ class TestStructuralProperties:
             )
 
     def test_matches_quadratic_scan_exhaustively(self):
-        sides = [(), ("a",), ("b",), ("a", "b"), ("b", "a")]
+        sides = [(), ("a",), ("b",), ("a", "b"), ("b", "a"), ("a", "a"), ("b", "a", "b")]
         for team in all_teams(("a", "b"), "01"):
             for pub in sides:
                 for prot in sides:
                     assert check_anonymity(team, pub, prot) == anonymity_scan(team, pub, prot)
+
+    def test_keys_are_tuples_in_the_order_named(self, census_team):
+        row = ("Balbuk", "Watarru", "70,000")
+        keys = {
+            (): (),
+            ("salary",): ("70,000",),
+            ("salary", "surname"): ("70,000", "Balbuk"),
+            ("surname", "salary", "surname"): ("Balbuk", "70,000", "Balbuk"),
+        }
+        for attrs, key in keys.items():
+            assert _extractor(census_team, attrs)(row) == key
+        with pytest.raises(SchemaError, match="'age'"):
+            _extractor(census_team, ("surname", "age"))
 
 
 class TestSatisfiesDispatcher:

@@ -1,10 +1,11 @@
 import csv
 import io
 import random
+import tracemalloc
 
 import pytest
 
-from anonatom import ParseError, SchemaError, Team, read_team_csv, write_team_csv
+from anonatom import ParseError, SchemaError, Team, check_anonymity, read_team_csv, write_team_csv
 from anonatom.teamio import team_to_csv_text
 from conftest import CENSUS_ATTRS, CENSUS_ROWS
 
@@ -79,6 +80,58 @@ class TestReadTeamCsv:
         path = tmp_path / "team.csv"
         path.write_text(CENSUS_CSV, encoding="utf-8")
         assert read_team_csv(path).team == Team.of(CENSUS_ATTRS, CENSUS_ROWS)
+
+
+    @pytest.mark.parametrize("text", ["\ufeffname,town\nA,x\n", '\ufeff"name",town\nA,x\n'])
+    def test_byte_order_mark_on_a_stream_is_not_part_of_the_first_name(self, text):
+        team = read_team_csv(io.StringIO(text)).team
+        assert team.schema.attributes == ("name", "town")
+        assert not check_anonymity(team, ["town"], ["name"])
+
+    def test_byte_order_mark_alone_is_empty_input(self):
+        with pytest.raises(SchemaError, match="header"):
+            read_team_csv(io.StringIO("\ufeff"))
+
+
+class TestReaderMemory:
+    """Census-like columns repeat heavily, so the reader stores each
+    distinct value once."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        rng = random.Random(13)
+        path = tmp_path_factory.mktemp("census") / "census.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(("surname", "hometown", "zip", "age", "sex", "salary", "diagnosis"))
+            for _ in range(20_000):
+                town = rng.randrange(300)
+                writer.writerow((
+                    f"S{rng.randrange(2000):04d}", f"T{town:03d}", str(20000 + 4 * town + rng.randrange(4)),
+                    str(rng.randrange(18, 91)), rng.choice(("F", "M")), f"{rng.randrange(20, 200)},000",
+                    f"D{rng.randrange(12):02d}",
+                ))
+        return path
+
+    def test_equal_values_are_one_object(self, path):
+        rows = read_team_csv(path).team.rows
+        assert len({id(v) for r in rows for v in r}) == len({v for r in rows for v in r})
+
+    def test_peak_is_well_below_a_naive_read(self, path):
+        def naive():
+            with open(path, newline="", encoding="utf-8") as handle:
+                return frozenset(map(tuple, csv.reader(handle)))
+
+        def traced_peak(read):
+            tracemalloc.start()
+            try:
+                read()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        read_team_csv(path)  # the first call's one-off allocations are not the reader's
+        assert traced_peak(lambda: read_team_csv(path)) <= 0.6 * traced_peak(naive)
 
 
 class TestWriteTeamCsv:
