@@ -21,10 +21,10 @@ team.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Sequence, Union
 
+from ._value import Value, _set
 from .errors import ArityError
 from .team import Row, Team
 
@@ -35,20 +35,23 @@ def _positive_multiplicity(k: object) -> int:
     return k
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(Value):
     """``published Y_k protected``: publishing keeps the protected tuple
     k-anonymous.  k defaults to 2, the plain anonymity atom.  Slotted:
     hypothesis sets and sweeps hold many of them."""
 
+    __slots__ = _fields = ("published", "protected", "k")
     published: tuple[str, ...]
     protected: tuple[str, ...]
-    k: int = 2
+    k: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "published", tuple(self.published))
-        object.__setattr__(self, "protected", tuple(self.protected))
-        _positive_multiplicity(self.k)
+    def __init__(self, published: Sequence[str], protected: Sequence[str], k: int = 2) -> None:
+        _set(self, "published", tuple(published))
+        _set(self, "protected", tuple(protected))
+        _set(self, "k", _positive_multiplicity(k))
+
+    def __reduce__(self):  # a slotted value has no __dict__ for copy and pickle
+        return self.__class__, (self.published, self.protected, self.k)
 
     @property
     def is_simple(self) -> bool:
@@ -59,32 +62,32 @@ class Atom:
         return frozenset(self.published) | frozenset(self.protected)
 
 
-@dataclass(frozen=True)
-class DependenceAtom:
+class DependenceAtom(Value):
     """``dep(determinants; dependents)``: equal determinant tuples force
     equal dependent tuples."""
 
+    _fields = ("determinants", "dependents")
     determinants: tuple[str, ...]
     dependents: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "determinants", tuple(self.determinants))
-        object.__setattr__(self, "dependents", tuple(self.dependents))
+    def __init__(self, determinants: Sequence[str], dependents: Sequence[str]) -> None:
+        _set(self, "determinants", tuple(determinants))
+        _set(self, "dependents", tuple(dependents))
 
     def attributes(self) -> frozenset[str]:
         return frozenset(self.determinants) | frozenset(self.dependents)
 
 
-@dataclass(frozen=True)
-class InclusionAtom:
+class InclusionAtom(Value):
     """``inc(source; target)``: every source tuple occurs as a target tuple."""
 
+    _fields = ("source", "target")
     source: tuple[str, ...]
     target: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "source", tuple(self.source))
-        object.__setattr__(self, "target", tuple(self.target))
+    def __init__(self, source: Sequence[str], target: Sequence[str]) -> None:
+        _set(self, "source", tuple(source))
+        _set(self, "target", tuple(target))
         if len(self.source) != len(self.target):
             raise ArityError(
                 f"inclusion sides must have equal length: {len(self.source)} vs {len(self.target)}"
@@ -94,17 +97,17 @@ class InclusionAtom:
         return frozenset(self.source) | frozenset(self.target)
 
 
-@dataclass(frozen=True)
-class IndependenceAtom:
+class IndependenceAtom(Value):
     """``ind(left; right)``: every occurring left tuple combines with
     every occurring right tuple in some row."""
 
+    _fields = ("left", "right")
     left: tuple[str, ...]
     right: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "left", tuple(self.left))
-        object.__setattr__(self, "right", tuple(self.right))
+    def __init__(self, left: Sequence[str], right: Sequence[str]) -> None:
+        _set(self, "left", tuple(left))
+        _set(self, "right", tuple(right))
 
     def attributes(self) -> frozenset[str]:
         return frozenset(self.left) | frozenset(self.right)

@@ -5,6 +5,10 @@ standard output (or a human-readable rendering with ``--pretty``) and
 exits with the stable status contract: 0 holds/derivable/entailed,
 1 fails/refuted, 2 usage or input error, 3 unknown.  ``main`` builds the
 report's header and prints every report, error records included.
+
+Each command imports the modules it runs when it runs, so that a process
+loads only what its command needs: ``audit`` no entailment module,
+``--version`` none of the checkers.
 """
 
 from __future__ import annotations
@@ -14,44 +18,29 @@ import functools
 import itertools
 import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
-from .atoms import UNBOUNDED, Atom, _extractor, group_distinct_counts
 from .errors import AnonatomError, ConfigError
-from .inference import (
-    Verdict,
-    _atom_to_dict,
-    entails_anonymity,
-    entails_k_simple,
-    entails_k_saturate,
-)
-from .oracle import OracleConfig, OracleStatus, semantic_entails
-from .syntax import format_atom, parse_atom, parse_formula
-from .teamio import load_sigma_file, read_team_csv, write_team_csv
-from .teamlogic import evaluate
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .atoms import Atom
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_ERROR = 2
 EXIT_UNKNOWN = 3
 
+# The engine of each ``entail --mode``, a function of ``inference``.
 _ENTAIL_MODES = {
-    "upsilon": entails_anonymity,
-    "anonymity": entails_anonymity,
-    "k-simple": entails_k_simple,
-    "k-saturate": entails_k_saturate,
+    "upsilon": "entails_anonymity",
+    "anonymity": "entails_anonymity",
+    "k-simple": "entails_k_simple",
+    "k-saturate": "entails_k_saturate",
 }
-_VERDICT_EXIT = {
-    Verdict.DERIVABLE: EXIT_HOLDS,
-    Verdict.NOT_DERIVABLE: EXIT_FAILS,
-    Verdict.UNKNOWN: EXIT_UNKNOWN,
-}
-_STATUS_EXIT = {
-    OracleStatus.ENTAILED: EXIT_HOLDS,
-    OracleStatus.REFUTED: EXIT_FAILS,
-    OracleStatus.UNKNOWN: EXIT_UNKNOWN,
-}
+# Exit codes by ``Verdict`` and by ``OracleStatus``, both string enums.
+_VERDICT_EXIT = {"derivable": EXIT_HOLDS, "not-derivable": EXIT_FAILS, "unknown": EXIT_UNKNOWN}
+_STATUS_EXIT = {"entailed": EXIT_HOLDS, "refuted": EXIT_FAILS, "unknown": EXIT_UNKNOWN}
 
 # What a command returns to ``main``: the exit code, the report's fields
 # after the header ``main`` adds, and the ``--pretty`` lines.
@@ -72,6 +61,8 @@ def _team_summary(path: str, loaded) -> dict:
 
 
 def _atom_text(atom: Atom) -> str | None:
+    from .syntax import format_atom
+
     try:
         return format_atom(atom)
     except ValueError:
@@ -80,6 +71,8 @@ def _atom_text(atom: Atom) -> str | None:
 
 def _derivation_document(derivation) -> dict:
     """``Derivation.to_dict`` with each node's conclusion also as text."""
+    from .inference import _atom_to_dict
+
     doc = {
         "rule": derivation.rule.value,
         "conclusion": _atom_to_dict(derivation.conclusion),
@@ -116,6 +109,9 @@ def _countermodel_document(report, csv_path: str | None) -> dict:
 
 
 def _cmd_check(args) -> _Report:
+    from .syntax import parse_atom, parse_formula
+    from .teamio import read_team_csv
+
     loaded = read_team_csv(args.team)
     team = loaded.team
     if loaded.duplicate_rows:
@@ -123,6 +119,8 @@ def _cmd_check(args) -> _Report:
     document: dict = {"team": _team_summary(args.team, loaded)}
     pretty = [f"team: {args.team} ({len(team)} rows)"]
     if args.atom is not None:
+        from .atoms import _extractor, group_distinct_counts
+
         atom = parse_atom(args.atom)
         counts = group_distinct_counts(team, atom.published, atom.protected)
         failing = [key for key, (_, distinct) in counts.items() if distinct < atom.k]
@@ -149,10 +147,13 @@ def _cmd_check(args) -> _Report:
                 f"needs {evidence['required']}"
             )
     else:
+        from .teamlogic import evaluate
+
         formula = parse_formula(args.formula)
-        domain = _split_names(args.domain) if args.domain else tuple(
-            sorted(set(itertools.chain.from_iterable(team.rows)))
-        )
+        if args.domain is not None:  # "" and "," both give the empty domain
+            domain = _split_names(args.domain)
+        else:
+            domain = tuple(sorted(set(itertools.chain.from_iterable(team.rows))))
         verdict = evaluate(team, domain, formula)
         document["query"] = {"kind": "formula", "text": args.formula.strip()}
         document["domain"] = list(domain)
@@ -164,6 +165,9 @@ def _cmd_check(args) -> _Report:
 
 
 def _cmd_audit(args) -> _Report:
+    from .atoms import UNBOUNDED, group_distinct_counts
+    from .teamio import read_team_csv
+
     if args.min_k is not None and args.min_k < 1:
         raise ConfigError(f"--min-k must be at least 1, got {args.min_k}")
     loaded = read_team_csv(args.team)
@@ -210,9 +214,13 @@ def _cmd_audit(args) -> _Report:
 
 
 def _cmd_entail(args) -> _Report:
+    from . import inference
+    from .syntax import format_atom, parse_atom
+    from .teamio import load_sigma_file, write_team_csv
+
     sigma = load_sigma_file(args.sigma)
     goal = parse_atom(args.goal)
-    result = _ENTAIL_MODES[args.mode](sigma, goal)
+    result = getattr(inference, _ENTAIL_MODES[args.mode])(sigma, goal)
     document = {
         "mode": args.mode,
         "sigma": [format_atom(a) for a in sigma.atoms],
@@ -220,11 +228,11 @@ def _cmd_entail(args) -> _Report:
         "verdict": result.verdict.value,
     }
     pretty = [f"goal: {args.goal.strip()}", f"verdict: {result.verdict.value}"]
-    if result.verdict is Verdict.DERIVABLE:
+    if result.verdict is inference.Verdict.DERIVABLE:
         document["derivation"] = _derivation_document(result.derivation)
         pretty.append("derivation:")
         pretty.extend(_derivation_pretty(result.derivation, indent=1))
-    elif result.verdict is Verdict.NOT_DERIVABLE:
+    elif result.verdict is inference.Verdict.NOT_DERIVABLE:
         csv_path = None
         if args.countermodel_out:
             write_team_csv(result.countermodel.team, args.countermodel_out)
@@ -239,10 +247,14 @@ def _cmd_entail(args) -> _Report:
     else:
         document["saturated_atoms"] = closed = len(result.saturated or ())
         pretty.append(f"saturation closed over {closed} atoms without reaching the goal")
-    return _VERDICT_EXIT[result.verdict], document, pretty
+    return _VERDICT_EXIT[result.verdict.value], document, pretty
 
 
 def _cmd_oracle(args) -> _Report:
+    from .oracle import OracleConfig, semantic_entails
+    from .syntax import format_atom, parse_atom
+    from .teamio import load_sigma_file, write_team_csv
+
     sigma = load_sigma_file(args.sigma)
     goal = parse_atom(args.goal)
     cfg = OracleConfig(
@@ -271,7 +283,7 @@ def _cmd_oracle(args) -> _Report:
             write_team_csv(result.refuter, args.refuter_out)
             document["refuter"]["csv_path"] = args.refuter_out
             pretty.append(f"refuter written to {args.refuter_out}")
-    return _STATUS_EXIT[result.status], document, pretty
+    return _STATUS_EXIT[result.status.value], document, pretty
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -24,7 +24,7 @@ Each construction checks its grid with the checkers and returns None
 when the grid does not refute; the public builders and the engines raise
 ``VerificationError`` then instead of returning an unverified report.
 The public builders check their fragment and put ``(sigma, goal)`` in
-normal form (``inference._Query``); the engines and the oracle pass the
+normal form (``query._Query``); the engines and the oracle pass the
 form they hold straight to the constructions.  The size caps are the module
 constants below, checked before any row is built.
 
@@ -48,12 +48,12 @@ the checkers on the team itself.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
+from ._value import Value, _set
 from .atoms import Atom, satisfies
 from .errors import FragmentError, ResourceError, VerificationError
-from .inference import AtomSet, _Form, _inconsistent_member, _Query, _subsuming
+from .query import AtomSet, _Form, _inconsistent_member, _Query, _subsuming
 from .team import Row, Schema, Team
 
 CONSTRUCTION_TERNARY = "ternary-grid"
@@ -71,16 +71,30 @@ MAX_DOMAIN = 64  # the truncated grid's largest domain
 MAX_ROWS = 2_000_000  # assignments of a truncated or full grid
 
 
-@dataclass(frozen=True)
-class CountermodelReport:
+class CountermodelReport(Value):
     """A team refuting ``failed_goal`` while satisfying every hypothesis,
     together with the bookkeeping that was machine-checked at build time."""
 
+    _fields = ("team", "satisfied_hypotheses", "failed_goal", "domain_size", "construction")
     team: Team
     satisfied_hypotheses: tuple[tuple[Atom, bool], ...]
     failed_goal: Atom
     domain_size: int
     construction: str
+
+    def __init__(
+        self,
+        team: Team,
+        satisfied_hypotheses: tuple[tuple[Atom, bool], ...],
+        failed_goal: Atom,
+        domain_size: int,
+        construction: str,
+    ) -> None:
+        _set(self, "team", team)
+        _set(self, "satisfied_hypotheses", satisfied_hypotheses)
+        _set(self, "failed_goal", failed_goal)
+        _set(self, "domain_size", domain_size)
+        _set(self, "construction", construction)
 
 
 def verify_countermodel(report: CountermodelReport, sigma: AtomSet, goal: Atom) -> bool:

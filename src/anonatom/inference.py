@@ -1,4 +1,4 @@
-"""Normalization and the derivability relation for anonymity atoms.
+"""The derivability relation for anonymity atoms.
 
 Hypotheses and goals are ``Atom`` values; entailment questions are asked
 against an ``AtomSet``.  Three engines cover three fragments:
@@ -27,137 +27,31 @@ insensitive to attribute order and duplicates, which matches the
 semantics (grouping ignores both).
 
 Each engine or oracle call puts its question in normal form once, as a
-``_Query`` that every layer reads; ``normalize`` gives the same form
-over attribute names, for callers and for the verifier.
+``_Query`` (:mod:`anonatom.query`) that every layer reads; ``normalize``
+gives the same form over attribute names, for callers and for the
+verifier.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable
 
+from ._value import Value, _set
 from .atoms import Atom
+from .countermodel import (
+    CONSTRUCTION_FULL,
+    CONSTRUCTION_TERNARY,
+    CONSTRUCTION_TRUNCATED,
+    CountermodelReport,
+    _full_grid,
+    _ternary,
+    _truncated,
+    _verified,
+)
 from .errors import FragmentError, ResourceError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .countermodel import CountermodelReport
-
-
-@dataclass(frozen=True)
-class NormalAtom:
-    """Order-free atom with the protected side disjoint from the published
-    side (shared attributes cancel; within a published-group they are
-    constant and cannot contribute distinct protected tuples)."""
-
-    published: frozenset[str]
-    protected: frozenset[str]
-    k: int
-
-
-def normalize(atom: Atom) -> NormalAtom:
-    pub = frozenset(atom.published)
-    return NormalAtom(pub, frozenset(atom.protected) - pub, atom.k)
-
-
-_NO_ATTRIBUTES: frozenset[str] = frozenset()
-
-
-@dataclass(frozen=True)
-class AtomSet:
-    """A hypothesis set plus the attribute universe it lives in.
-
-    ``extra_attributes`` widens the universe beyond the attributes the
-    member atoms mention (goals contribute theirs at query time).
-    """
-
-    atoms: tuple[Atom, ...]
-    extra_attributes: frozenset[str] = _NO_ATTRIBUTES
-
-    def __post_init__(self) -> None:
-        deduped: list[Atom] = []
-        seen: set[Atom] = set()
-        for atom in self.atoms:
-            if not isinstance(atom, Atom):
-                raise TypeError(f"AtomSet members must be anonymity atoms, got {atom!r}")
-            if atom not in seen:
-                seen.add(atom)
-                deduped.append(atom)
-        object.__setattr__(self, "atoms", tuple(deduped))
-        # sets without extra attributes share one empty frozenset (each
-        # empty frozenset is an object of its own, about 200 bytes)
-        extra = frozenset(self.extra_attributes) or _NO_ATTRIBUTES
-        object.__setattr__(self, "extra_attributes", extra)
-
-    @classmethod
-    def of(cls, *atoms: Atom, extra_attributes: Iterable[str] = ()) -> "AtomSet":
-        return cls(tuple(atoms), frozenset(extra_attributes))
-
-    @cached_property
-    def attributes(self) -> frozenset[str]:
-        """Every attribute of the set, computed on first read and then kept
-        (the fields are frozen); it takes no part in equality or hashing."""
-        out = set(self.extra_attributes)
-        for atom in self.atoms:
-            out |= atom.attributes()
-        return frozenset(out)
-
-    def __iter__(self):
-        return iter(self.atoms)
-
-    def __len__(self) -> int:
-        return len(self.atoms)
-
-    def __contains__(self, atom: object) -> bool:
-        return atom in self.atoms
-
-
-# An atom's form: its published attributes and its protected attributes
-# less the published ones, as int bitmasks over a sorted universe, and k.
-_Form = tuple[int, int, int]
-
-
-class _Query:
-    """One question ``sigma |- goal`` in the one form that the engines, the
-    grid builders and the oracle read.
-
-    ``attrs`` is the sorted universe of the hypotheses and the goal, and
-    bit i of a mask stands for ``attrs[i]``.  ``hyps`` pairs each
-    hypothesis with its form and ``goal_form`` is the goal's.  A form is
-    the normal form of ``normalize`` as bitmasks: order and duplicates are
-    gone (A1) and shared attributes cancel from the protected side (A3),
-    so atoms with one form hold on the same teams over ``attrs``.
-    """
-
-    __slots__ = ("sigma", "goal", "attrs", "hyps", "goal_form", "_names")
-
-    def __init__(self, sigma: AtomSet, goal: Atom):
-        self.sigma = sigma
-        self.goal = goal
-        self.attrs = attrs = tuple(sorted({*sigma.attributes, *goal.published, *goal.protected}))
-        bit = {a: 1 << i for i, a in enumerate(attrs)}
-        forms: list[_Form] = []
-        for atom in (*sigma.atoms, goal):
-            published = protected = 0
-            for a in atom.published:
-                published |= bit[a]
-            for a in atom.protected:
-                protected |= bit[a]
-            forms.append((published, protected & ~published, atom.k))
-        self.goal_form = forms.pop()
-        self.hyps = tuple(zip(sigma.atoms, forms))
-        self._names: dict[int, frozenset[str]] = {}
-
-    def names(self, mask: int) -> frozenset[str]:
-        """The attributes of ``mask``, built once per mask and then kept, so
-        the atoms of a saturated set share them."""
-        names = self._names.get(mask)
-        if names is None:
-            names = self._names[mask] = frozenset(
-                a for i, a in enumerate(self.attrs) if mask >> i & 1
-            )
-        return names
+from .query import AtomSet, NormalAtom, _inconsistent_member, _Query, _subsuming, normalize
 
 
 class Rule(str, Enum):
@@ -171,14 +65,19 @@ class Rule(str, Enum):
     K1_TRIVIAL = "k1-trivial"
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Value):
     """A proof tree: leaves are hypotheses (or trivially-true k = 1 atoms),
     internal nodes apply one named rule."""
 
+    _fields = ("rule", "conclusion", "premises")
     rule: Rule
     conclusion: Atom
-    premises: tuple["Derivation", ...] = ()
+    premises: tuple[Derivation, ...]
+
+    def __init__(self, rule: Rule, conclusion: Atom, premises: tuple[Derivation, ...] = ()) -> None:
+        _set(self, "rule", rule)
+        _set(self, "conclusion", conclusion)
+        _set(self, "premises", premises)
 
     def to_dict(self) -> dict:
         return {
@@ -210,8 +109,7 @@ class Verdict(str, Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Entailment:
+class Entailment(Value):
     """An engine's answer: the verdict, with a proof tree when Derivable
     and a countermodel when NotDerivable.
 
@@ -223,12 +121,23 @@ class Entailment:
     for it.  It takes no part in equality.
     """
 
+    _fields = ("verdict", "derivation", "countermodel")
     verdict: Verdict
-    derivation: Derivation | None = None
-    countermodel: "CountermodelReport | None" = None
-    _closure: "tuple[_Query, dict[_Key, int]] | None" = field(
-        default=None, compare=False, repr=False
-    )
+    derivation: Derivation | None
+    countermodel: CountermodelReport | None
+    _closure: tuple[_Query, dict[_Key, int]] | None
+
+    def __init__(
+        self,
+        verdict: Verdict,
+        derivation: Derivation | None = None,
+        countermodel: CountermodelReport | None = None,
+        _closure: tuple[_Query, dict[_Key, int]] | None = None,
+    ) -> None:
+        _set(self, "verdict", verdict)
+        _set(self, "derivation", derivation)
+        _set(self, "countermodel", countermodel)
+        _set(self, "_closure", _closure)
 
     @cached_property
     def saturated(self) -> frozenset[NormalAtom] | None:
@@ -248,14 +157,6 @@ def is_inconsistent(sigma: AtomSet) -> bool:
     k >= 2; such a set is satisfied by the empty team only."""
     # a goal over no attributes adds none to the universe
     return _inconsistent_member(_Query(sigma, Atom((), ())).hyps) is not None
-
-
-def _inconsistent_member(hyps: Iterable[tuple[Atom, _Form]]) -> Atom | None:
-    """The first hypothesis whose form protects nothing with k >= 2."""
-    for hyp, (_, protected, k) in hyps:
-        if not protected and k >= 2:
-            return hyp
-    return None
 
 
 def _ex_falso(goal: Atom, bad: Atom) -> Derivation:
@@ -296,21 +197,10 @@ def _settled(query: _Query) -> Entailment | None:
     return None
 
 
-def _subsuming(hyps: Iterable[tuple[Atom, _Form]], goal: _Form) -> Atom | None:
-    """The first hypothesis whose form subsumes the form ``goal``: it
-    publishes at least the goal's attributes, protects a subset of its
-    protected attributes, and has at least its multiplicity."""
-    published, protected, k = goal
-    for hyp, (h_published, h_protected, h_k) in hyps:
-        if not published & ~h_published and not h_protected & ~protected and h_k >= k:
-            return hyp
-    return None
-
-
 def _decide(
     sigma: AtomSet,
     goal: Atom,
-    refute: Callable[[_Query], "CountermodelReport | None"],
+    refute: Callable[[_Query], CountermodelReport | None],
     construction: str,
 ) -> Entailment:
     """The complete decision shared by the plain and the simple fragment.
@@ -324,9 +214,6 @@ def _decide(
     hyp = _subsuming(query.hyps, query.goal_form)
     if hyp is not None:
         return Entailment(Verdict.DERIVABLE, derivation=_weakening(hyp, goal))
-    # deferred: countermodel imports this module
-    from .countermodel import CONSTRUCTION_FULL, _full_grid, _verified
-
     if not query.goal_form[1]:
         refute, construction = _full_grid, CONSTRUCTION_FULL
     report = _verified(refute(query), query, construction)
@@ -349,8 +236,6 @@ def entails_anonymity(sigma: AtomSet, goal: Atom) -> Entailment:
                 f"hypothesis {atom} has multiplicity {atom.k}; "
                 "use entails_k_simple or entails_k_saturate"
             )
-    from .countermodel import CONSTRUCTION_TERNARY, _ternary
-
     return _decide(sigma, goal, _ternary, CONSTRUCTION_TERNARY)
 
 
@@ -362,8 +247,6 @@ def entails_k_simple(sigma: AtomSet, goal: Atom) -> Entailment:
             raise FragmentError(
                 f"{atom} is not simple (one protected attribute); use entails_k_saturate"
             )
-    from .countermodel import CONSTRUCTION_TRUNCATED, _truncated
-
     return _decide(sigma, goal, _truncated, CONSTRUCTION_TRUNCATED)
 
 

@@ -13,7 +13,7 @@ once, whichever engine or oracle call asks first, so an entailed
 instance costs a few memo reads before the enumeration.  The cache
 knows nothing of subsumption; a candidate is returned only when its
 builder's check says it refutes.  A call puts the question in normal
-form once (``inference._Query``), and the candidates, the shape cache
+form once (``query._Query``), and the candidates, the shape cache
 and the bitmaps all read that form.
 
 Exhaustive mode enumerates the teams over the full grid of the shape
@@ -32,18 +32,17 @@ unless the domain exceeds the largest multiplicity mentioned.
 
 from __future__ import annotations
 
-import random
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+from ._value import Value, _set
 from .atoms import Atom
 from .countermodel import (
     GRID_SPACE_ATTRIBUTES, GRID_SPACE_DOMAIN, _candidates, _Grid, _grid, _refutes,
 )
 from .errors import ConfigError
-from .inference import AtomSet, _Form, _Query
+from .query import AtomSet, _Form, _Query
 from .team import Schema, Team
 
 EXHAUSTIVE = "exhaustive"
@@ -54,15 +53,27 @@ RANDOM = "random"
 _MAX_GRID = 16
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    domain_size: int = 2
-    attribute_limit: int = 4
-    mode: str = EXHAUSTIVE
-    samples: int = 1000
-    seed: int = 0
+class OracleConfig(Value):
+    _fields = ("domain_size", "attribute_limit", "mode", "samples", "seed")
+    domain_size: int
+    attribute_limit: int
+    mode: str
+    samples: int
+    seed: int
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        domain_size: int = 2,
+        attribute_limit: int = 4,
+        mode: str = EXHAUSTIVE,
+        samples: int = 1000,
+        seed: int = 0,
+    ) -> None:
+        _set(self, "domain_size", domain_size)
+        _set(self, "attribute_limit", attribute_limit)
+        _set(self, "mode", mode)
+        _set(self, "samples", samples)
+        _set(self, "seed", seed)
         if self.mode not in (EXHAUSTIVE, RANDOM):
             raise ConfigError(f"mode must be {EXHAUSTIVE!r} or {RANDOM!r}, got {self.mode!r}")
         if self.domain_size not in range(2, GRID_SPACE_DOMAIN + 1):
@@ -89,11 +100,18 @@ class OracleStatus(str, Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Value):
+    _fields = ("status", "refuter", "teams_checked")
     status: OracleStatus
-    refuter: Team | None = None
-    teams_checked: int = 0
+    refuter: Team | None
+    teams_checked: int
+
+    def __init__(
+        self, status: OracleStatus, refuter: Team | None = None, teams_checked: int = 0
+    ) -> None:
+        _set(self, "status", status)
+        _set(self, "refuter", refuter)
+        _set(self, "teams_checked", teams_checked)
 
 
 def random_team(
@@ -101,6 +119,8 @@ def random_team(
 ) -> Team:
     """A reproducible pseudo-random team: the same seed always yields the
     same team, with at most ``row_budget`` rows."""
+    import random  # deferred: exhaustive mode draws no team
+
     if row_budget < 0:
         raise ValueError("row_budget must be non-negative")
     rng = random.Random(seed)
@@ -134,7 +154,7 @@ class _Lattice:
     * The atom's mask is the AND over groups; k = 1 gives every team.
 
     Masks are keyed by the atom's form over the sorted attributes
-    (``inference._Query``), clamped by the grid (``_Grid.clamp``), so keys
+    (``query._Query``), clamped by the grid (``_Grid.clamp``), so keys
     over one shape are finite: 3^arity sides times g + 1 multiplicities.
     """
 
@@ -214,6 +234,8 @@ def semantic_entails(sigma: AtomSet, goal: Atom, cfg: OracleConfig) -> OracleRes
         if largest > 2 and cfg.domain_size < largest + 1:
             return OracleResult(OracleStatus.UNKNOWN, None, lattice.count)
         return OracleResult(OracleStatus.ENTAILED, None, lattice.count)
+
+    import random
 
     domain = tuple(str(i) for i in range(cfg.domain_size))
     rng = random.Random(cfg.seed)

@@ -28,12 +28,17 @@ string is always a value, never punctuation.
 from __future__ import annotations
 
 import re
+from typing import TYPE_CHECKING
 
 from .atoms import Atom, DependenceAtom, InclusionAtom, IndependenceAtom
 from .errors import ParseError
-from .inference import AtomSet
-from .teamlogic import AndNode, AtomNode, ExistsNode, Formula, ImplNode, LiteralNode
 from .team import is_valid_attribute_name
+
+# The hypothesis-file and formula grammars import ``query`` (for ``AtomSet``)
+# and the formula model when they run, so that parsing one atom loads neither.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .query import AtomSet
+    from .teamlogic import AtomNode, Formula, LiteralNode
 
 _INT = "[0-9]+"  # multiplicities in both grammars: ASCII digits only
 _SEPARATOR = re.compile(rf"Y({_INT})?\Z")
@@ -78,6 +83,8 @@ def format_atom(atom: Atom) -> str:
 
 def parse_sigma(text: str) -> AtomSet:
     """Parse a hypothesis file: one atom per line, ``#`` comments allowed."""
+    from .query import AtomSet
+
     atoms = []
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -160,6 +167,9 @@ _MAX_NESTING = 100
 
 class _FormulaParser:
     def __init__(self, text: str):
+        from . import teamlogic
+
+        self.nodes = teamlogic  # the node classes
         self.tokens = _tokens(text)
         self.pos = 0
         self.depth = 0
@@ -197,15 +207,15 @@ class _FormulaParser:
         if self._peek()[0] == "->":
             self._take()
             body = self._formula()
-            formula = ImplNode(self._as_guard(formula), body)
+            formula = self.nodes.ImplNode(self._as_guard(formula), body)
         self.depth -= 1
         return formula
 
     def _as_guard(self, formula: Formula) -> tuple[LiteralNode, ...]:
-        if isinstance(formula, LiteralNode):
+        if isinstance(formula, self.nodes.LiteralNode):
             return (formula,)
-        if isinstance(formula, AndNode) and all(
-            isinstance(p, LiteralNode) for p in formula.parts
+        if isinstance(formula, self.nodes.AndNode) and all(
+            isinstance(p, self.nodes.LiteralNode) for p in formula.parts
         ):
             return formula.parts  # type: ignore[return-value]
         raise ParseError("the left side of '->' must be a conjunction of literals")
@@ -219,11 +229,11 @@ class _FormulaParser:
             return parts[0]
         flat: list[Formula] = []
         for part in parts:
-            if isinstance(part, AndNode):
+            if isinstance(part, self.nodes.AndNode):
                 flat.extend(part.parts)
             else:
                 flat.append(part)
-        return AndNode(tuple(flat))
+        return self.nodes.AndNode(tuple(flat))
 
     def _unit(self) -> Formula:
         kind, value, _ = token = self._peek()
@@ -238,7 +248,7 @@ class _FormulaParser:
             self._expect("(")
             body = self._formula()
             self._expect(")")
-            return ExistsNode(name, body)
+            return self.nodes.ExistsNode(name, body)
         if kind == "word" and value in _ATOM_KEYWORDS:
             return self._atom_call()
         if kind == "word":
@@ -278,8 +288,8 @@ class _FormulaParser:
         right = self._attrs()
         self._expect(")")
         if keyword == "anon":
-            return AtomNode(Atom(left, right, k))
-        return AtomNode(_AUXILIARY_ATOMS[keyword](left, right))
+            return self.nodes.AtomNode(Atom(left, right, k))
+        return self.nodes.AtomNode(_AUXILIARY_ATOMS[keyword](left, right))
 
     def _literal(self) -> LiteralNode:
         attribute = self._name()
@@ -289,9 +299,11 @@ class _FormulaParser:
         negated = op[0] == "!="
         kind, value, _ = token = self._take()
         if kind == "string":
-            return LiteralNode(attribute, value, negated=negated)
+            return self.nodes.LiteralNode(attribute, value, negated=negated)
         if kind == "word" and is_valid_attribute_name(value):
-            return LiteralNode(attribute, value, negated=negated, target_is_attribute=True)
+            return self.nodes.LiteralNode(
+                attribute, value, negated=negated, target_is_attribute=True
+            )
         raise self._error(f"expected a quoted value or attribute name, got {_shown(token)}", token)
 
 
@@ -300,6 +312,8 @@ def parse_formula(text: str) -> Formula:
 
 
 def format_formula(formula: Formula) -> str:
+    from .teamlogic import AndNode, AtomNode, ExistsNode, ImplNode, LiteralNode
+
     if isinstance(formula, LiteralNode):
         op = "!=" if formula.negated else "="
         target = formula.target if formula.target_is_attribute else _quote(formula.target)

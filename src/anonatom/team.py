@@ -10,9 +10,9 @@ teams can be shared freely between concurrent checks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from ._value import Value, _set
 from .errors import SchemaError
 
 Row = tuple[str, ...]
@@ -42,26 +42,27 @@ def _checked_name(name: object) -> str:
     return name  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(Value):
     """An ordered sequence of distinct attribute names."""
 
+    _fields = ("attributes",)
     attributes: tuple[str, ...]
+    _index: dict[str, int]
 
-    def __post_init__(self) -> None:
-        attrs = tuple(_checked_name(a) for a in self.attributes)
-        object.__setattr__(self, "attributes", attrs)
+    def __init__(self, attributes: Sequence[str]) -> None:
+        attrs = tuple(_checked_name(a) for a in attributes)
+        _set(self, "attributes", attrs)
         seen: set[str] = set()
         for a in attrs:
             if a in seen:
                 raise SchemaError(f"duplicate attribute name: {a!r}")
             seen.add(a)
-        object.__setattr__(self, "_index", {a: i for i, a in enumerate(attrs)})
+        _set(self, "_index", {a: i for i, a in enumerate(attrs)})
 
     def index(self, name: str) -> int:
         """Position of ``name`` in the schema; SchemaError names the offender."""
         try:
-            return self._index[name]  # type: ignore[attr-defined]
+            return self._index[name]
         except KeyError:
             raise SchemaError(f"unknown attribute: {name!r}") from None
 
@@ -75,11 +76,10 @@ class Schema:
         return len(self.attributes)
 
     def __contains__(self, name: object) -> bool:
-        return name in self._index  # type: ignore[attr-defined]
+        return name in self._index
 
 
-@dataclass(frozen=True)
-class Team:
+class Team(Value):
     """A finite set of rows over one schema.
 
     ``rows`` is a frozenset of value tuples in schema attribute order;
@@ -87,12 +87,13 @@ class Team:
     most one copy of each record.
     """
 
+    _fields = ("schema", "rows")
     schema: Schema
     rows: frozenset[Row]
 
-    def __post_init__(self) -> None:
-        rows = frozenset(map(tuple, self.rows))
-        width = len(self.schema)
+    def __init__(self, schema: Schema, rows: Iterable[Sequence[str]]) -> None:
+        rows = frozenset(map(tuple, rows))
+        width = len(schema)
         for row in rows:
             if len(row) != width:
                 raise SchemaError(
@@ -101,7 +102,8 @@ class Team:
             for value in row:
                 if not isinstance(value, str):
                     raise SchemaError(f"non-string value {value!r} in row {row!r}")
-        object.__setattr__(self, "rows", rows)
+        _set(self, "schema", schema)
+        _set(self, "rows", rows)
 
     @classmethod
     def _trusted(cls, schema: Schema, rows: frozenset[Row]) -> "Team":
@@ -114,14 +116,14 @@ class Team:
         package's own string tokens may use it.
         """
         team = object.__new__(cls)
-        object.__setattr__(team, "schema", schema)
-        object.__setattr__(team, "rows", rows)
+        _set(team, "schema", schema)
+        _set(team, "rows", rows)
         return team
 
     @classmethod
     def of(cls, attributes: Sequence[str], rows: Iterable[Sequence[str]]) -> "Team":
         """Build a team from attribute names and an iterable of row tuples."""
-        return cls(Schema(tuple(attributes)), rows)  # type: ignore[arg-type]
+        return cls(Schema(tuple(attributes)), rows)
 
     @classmethod
     def from_records(
@@ -146,7 +148,7 @@ class Team:
                     parts.append(f"unexpected {extra}")
                 raise SchemaError("record does not match schema: " + ", ".join(parts))
             rows.append(tuple(record[a] for a in schema.attributes))
-        return cls(schema, rows)  # type: ignore[arg-type]
+        return cls(schema, rows)
 
     @property
     def is_empty(self) -> bool:

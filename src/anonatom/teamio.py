@@ -5,24 +5,29 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, TYPE_CHECKING, Union
 
+from ._value import Value, _set
 from .errors import ParseError, SchemaError
-from .inference import AtomSet
-from .syntax import parse_sigma
 from .team import Schema, Team
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; load_sigma_file loads it
+    from .query import AtomSet
 
 Source = Union[str, Path, IO[str]]
 
 
-@dataclass(frozen=True)
-class LoadedTeam:
+class LoadedTeam(Value):
     """A parsed team plus how many duplicate data rows were collapsed."""
 
+    _fields = ("team", "duplicate_rows")
     team: Team
     duplicate_rows: int
+
+    def __init__(self, team: Team, duplicate_rows: int) -> None:
+        _set(self, "team", team)
+        _set(self, "duplicate_rows", duplicate_rows)
 
 
 def read_team_csv(source: Source) -> LoadedTeam:
@@ -94,4 +99,6 @@ def team_to_csv_text(team: Team) -> str:
 def load_sigma_file(path: str | Path) -> AtomSet:
     """Read a hypothesis file: one atom per line, ``#`` comments allowed, and
     an optional UTF-8 byte-order mark first."""
+    from .syntax import parse_sigma  # deferred: reading a team needs no atom grammar
+
     return parse_sigma(Path(path).read_text(encoding="utf-8-sig"))

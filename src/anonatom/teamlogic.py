@@ -15,9 +15,9 @@ guards itself with an expansion budget, ``MAX_EXPANSIONS``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
+from ._value import Value, _set
 from .atoms import AnyAtom, satisfies
 from .errors import DomainError, ResourceError, SchemaError
 from .team import Row, Schema, Team
@@ -27,52 +27,68 @@ from .team import Row, Schema, Team
 MAX_EXPANSIONS = 1_000_000
 
 
-@dataclass(frozen=True)
-class AtomNode:
+class AtomNode(Value):
+    _fields = ("atom",)
     atom: AnyAtom
 
+    def __init__(self, atom: AnyAtom) -> None:
+        _set(self, "atom", atom)
 
-@dataclass(frozen=True)
-class LiteralNode:
+
+class LiteralNode(Value):
     """``attribute = target`` or ``attribute != target``; the target is a
     constant value or another attribute."""
 
+    _fields = ("attribute", "target", "negated", "target_is_attribute")
     attribute: str
     target: str
-    negated: bool = False
-    target_is_attribute: bool = False
+    negated: bool
+    target_is_attribute: bool
+
+    def __init__(
+        self, attribute: str, target: str, negated: bool = False, target_is_attribute: bool = False
+    ) -> None:
+        _set(self, "attribute", attribute)
+        _set(self, "target", target)
+        _set(self, "negated", negated)
+        _set(self, "target_is_attribute", target_is_attribute)
 
 
-@dataclass(frozen=True)
-class AndNode:
-    parts: tuple["Formula", ...]
+class AndNode(Value):
+    _fields = ("parts",)
+    parts: tuple[Formula, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
+    def __init__(self, parts: Sequence[Formula]) -> None:
+        _set(self, "parts", tuple(parts))
 
 
-@dataclass(frozen=True)
-class ImplNode:
+class ImplNode(Value):
     """Guarded implication: the body must hold on the rows satisfying
     every guard literal."""
 
+    _fields = ("guard", "body")
     guard: tuple[LiteralNode, ...]
-    body: "Formula"
+    body: Formula
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "guard", tuple(self.guard))
+    def __init__(self, guard: Sequence[LiteralNode], body: Formula) -> None:
+        _set(self, "guard", tuple(guard))
+        _set(self, "body", body)
         for lit in self.guard:
             if not isinstance(lit, LiteralNode):
                 raise TypeError("implication guards are conjunctions of literals only")
 
 
-@dataclass(frozen=True)
-class ExistsNode:
+class ExistsNode(Value):
     """Lax existential: some assignment of non-empty value sets to rows
     makes the body hold on the fanned-out team."""
 
+    _fields = ("attribute", "body")
     attribute: str
-    body: "Formula"
+    body: Formula
+
+    def __init__(self, attribute: str, body: Formula) -> None:
+        _set(self, "attribute", attribute)
+        _set(self, "body", body)
 
 
 Formula = Union[AtomNode, LiteralNode, AndNode, ImplNode, ExistsNode]

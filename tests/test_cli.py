@@ -116,6 +116,18 @@ class TestCheck:
         assert code == 0
         assert doc["domain"] == ["0", "1"]
 
+    @pytest.mark.parametrize("domain", ["", ","])
+    def test_explicitly_empty_domain(self, capsys, census_csv, domain):
+        # an empty --domain is the empty domain, not the team's values
+        argv = ["check", "--team", census_csv, "--domain", domain, "--formula"]
+        code, doc = run_json(capsys, *argv, "anon(2 ; hometown ; surname)")
+        assert code == 0 and doc["domain"] == []
+        code, doc = run_json(capsys, *argv, "exists v (anon(2 ; hometown v ; surname))")
+        assert code == 2
+        assert doc["error"] == {
+            "kind": "DomainError", "message": "existential quantification over an empty domain",
+        }
+
     def test_empty_team_holds_everything(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("x,y\n", encoding="utf-8")
@@ -438,7 +450,7 @@ def test_saturation_output_does_not_depend_on_hash_seed(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["-c", "import anonatom"],
+    ["-c", "from anonatom import *"],
     ["-m", "anonatom", "check", "--team", "census.csv", "--atom", "hometown salary Y surname"],
 ])
 def test_reference_checkers_are_not_loaded(tmp_path, argv):
@@ -453,6 +465,43 @@ def test_reference_checkers_are_not_loaded(tmp_path, argv):
     imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
     assert "anonatom.atoms" in imported
     assert "anonatom.reference" not in imported
+
+
+# The package modules each command loads, and of the standard library
+# ``random`` and ``dataclasses``.  ``-S`` skips the site hooks, which on some
+# installations load ``random`` before the program starts.
+_LOADED_BY_EVERY_COMMAND = {"anonatom", "anonatom.cli", "anonatom.errors"}
+_TABLE = _LOADED_BY_EVERY_COMMAND | {
+    "anonatom._value", "anonatom.team", "anonatom.teamio", "anonatom.atoms",
+}
+_HYPOTHESES = _TABLE | {"anonatom.syntax", "anonatom.query", "anonatom.countermodel"}
+# an entailed goal, so that random mode gets past the constructions to sample
+_ORACLE = ["oracle", "--sigma", "sigma.txt", "--goal", "x Y y", "--attrs", "3"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--version"], _LOADED_BY_EVERY_COMMAND),
+    (["audit", "--team", "census.csv", "--publish", "hometown", "--protect", "surname"], _TABLE),
+    (["check", "--team", "census.csv", "--atom", "hometown salary Y surname"],
+     _TABLE | {"anonatom.syntax"}),
+    (["check", "--team", "census.csv", "--formula", "anon(2 ; hometown ; surname)"],
+     _TABLE | {"anonatom.syntax", "anonatom.teamlogic"}),
+    (["entail", "--sigma", "sigma.txt", "--goal", "x Y z"], _HYPOTHESES | {"anonatom.inference"}),
+    (_ORACLE, _HYPOTHESES | {"anonatom.oracle"}),
+    (_ORACLE + ["--mode", "random"], _HYPOTHESES | {"anonatom.oracle", "random"}),
+], ids=["version", "audit", "check-atom", "check-formula", "entail", "oracle", "oracle-random"])
+def test_each_command_loads_only_its_modules(tmp_path, argv, expected):
+    (tmp_path / "census.csv").write_text(CENSUS_CSV, encoding="utf-8")
+    (tmp_path / "sigma.txt").write_text("x Y y\ny Y z\n", encoding="utf-8")
+    src = str(Path(anonatom.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "anonatom", *argv], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode != 2, done.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    loaded = {name for name in imported if name.partition(".")[0] == "anonatom"}
+    assert loaded | (imported & {"random", "dataclasses"}) == expected
 
 
 # Text that is well-formed, malformed or nonsense for the atom and formula
