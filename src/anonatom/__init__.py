@@ -30,15 +30,14 @@ _EXPORTS = {
         "OracleConfig", "OracleResult", "OracleStatus", "random_team", "semantic_entails",
     ), "oracle"),
     **dict.fromkeys((
-        "format_atom", "format_formula", "format_sigma", "parse_atom", "parse_formula",
-        "parse_sigma",
+        "format_atom", "format_sigma", "load_sigma_file", "parse_atom", "parse_sigma",
     ), "syntax"),
     **dict.fromkeys(("AtomSet", "NormalAtom", "normalize"), "query"),
     **dict.fromkeys(("Schema", "Team", "group_by"), "team"),
-    **dict.fromkeys(("LoadedTeam", "load_sigma_file", "read_team_csv", "write_team_csv"), "teamio"),
+    **dict.fromkeys(("LoadedTeam", "read_team_csv", "write_team_csv"), "teamio"),
     **dict.fromkeys((
         "AndNode", "AtomNode", "ExistsNode", "Formula", "ImplNode", "LiteralNode", "evaluate",
-        "extend", "subteam",
+        "extend", "format_formula", "parse_formula", "subteam",
     ), "teamlogic"),
 }
 

@@ -10,7 +10,8 @@ with the same published tuple and a different protected tuple.
 The checkers (anonymity, k-anonymity, the degree, the audit counts,
 dependence and independence) all derive from one grouping pass,
 ``_groups``.  Independently coded reference formulations, for tests to
-cross-check them against, live in :mod:`anonatom.reference`.
+cross-check them against, live with the tests, in
+``tests/reference_checkers.py``.
 
 Conventions the definitions leave open: the empty team satisfies every
 atom; an empty protected side with k >= 2 holds only on the empty team

@@ -109,7 +109,6 @@ def _countermodel_document(report, csv_path: str | None) -> dict:
 
 
 def _cmd_check(args) -> _Report:
-    from .syntax import parse_atom, parse_formula
     from .teamio import read_team_csv
 
     loaded = read_team_csv(args.team)
@@ -120,6 +119,7 @@ def _cmd_check(args) -> _Report:
     pretty = [f"team: {args.team} ({len(team)} rows)"]
     if args.atom is not None:
         from .atoms import _extractor, group_distinct_counts
+        from .syntax import parse_atom
 
         atom = parse_atom(args.atom)
         counts = group_distinct_counts(team, atom.published, atom.protected)
@@ -147,7 +147,7 @@ def _cmd_check(args) -> _Report:
                 f"needs {evidence['required']}"
             )
     else:
-        from .teamlogic import evaluate
+        from .teamlogic import evaluate, parse_formula
 
         formula = parse_formula(args.formula)
         if args.domain is not None:  # "" and "," both give the empty domain
@@ -215,8 +215,7 @@ def _cmd_audit(args) -> _Report:
 
 def _cmd_entail(args) -> _Report:
     from . import inference
-    from .syntax import format_atom, parse_atom
-    from .teamio import load_sigma_file, write_team_csv
+    from .syntax import format_atom, load_sigma_file, parse_atom
 
     sigma = load_sigma_file(args.sigma)
     goal = parse_atom(args.goal)
@@ -235,6 +234,8 @@ def _cmd_entail(args) -> _Report:
     elif result.verdict is inference.Verdict.NOT_DERIVABLE:
         csv_path = None
         if args.countermodel_out:
+            from .teamio import write_team_csv
+
             write_team_csv(result.countermodel.team, args.countermodel_out)
             csv_path = args.countermodel_out
         document["countermodel"] = _countermodel_document(result.countermodel, csv_path)
@@ -252,8 +253,7 @@ def _cmd_entail(args) -> _Report:
 
 def _cmd_oracle(args) -> _Report:
     from .oracle import OracleConfig, semantic_entails
-    from .syntax import format_atom, parse_atom
-    from .teamio import load_sigma_file, write_team_csv
+    from .syntax import format_atom, load_sigma_file, parse_atom
 
     sigma = load_sigma_file(args.sigma)
     goal = parse_atom(args.goal)
@@ -280,6 +280,8 @@ def _cmd_oracle(args) -> _Report:
         }
         pretty.append(f"refuting team has {len(result.refuter)} row(s)")
         if args.refuter_out:
+            from .teamio import write_team_csv
+
             write_team_csv(result.refuter, args.refuter_out)
             document["refuter"]["csv_path"] = args.refuter_out
             pretty.append(f"refuter written to {args.refuter_out}")

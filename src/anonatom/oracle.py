@@ -18,10 +18,10 @@ and the bitmaps all read that form.
 
 Exhaustive mode enumerates the teams over the full grid of the shape
 cache, the grid the full-grid construction uses at that domain, and
-builds no team to check them: per atom it computes one bitmap, one bit
-per team, straight from the grid rows (``_Lattice``, kept on the grid's
-cache entry), and the lowest set bit of the refuting bitmap names the
-one team it builds, the refuter.
+builds no team to check them: each grid row's bitmap (one bit per
+team) repeats a byte pattern, each atom's combines those of the rows
+(``_Lattice``, kept on the grid's cache entry), and the lowest set bit of
+the refuting bitmap names the one team it builds, the refuter.
 
 Exhaustive mode answers ENTAILED or REFUTED; random mode answers
 REFUTED or UNKNOWN, never ENTAILED.  For instances mentioning
@@ -143,7 +143,8 @@ class _Lattice:
     built to fill a bitmap:
 
     * ``R_j``, the teams containing row j, is the periodic pattern of 2^j
-      clear bits then 2^j set bits.
+      clear bits then 2^j set bits: 2^(j-3) zero bytes then as many
+      ``0xff`` bytes, or for j < 3 one byte, ``0xaa``, ``0xcc`` or ``0xf0``.
     * A team satisfies ``x Yk y`` iff every published-key group of grid
       rows shows 0 or at least k distinct protected values among the rows
       it selects.  Per group, the OR of the ``R_j`` of the rows carrying
@@ -167,11 +168,12 @@ class _Lattice:
         self._masks: dict[_Form, int] = {}
 
     def _teams_containing(self, row: int) -> int:
-        """``R_row``: one period, 2^row clear bits then 2^row set bits,
-        times the integer with bit 0 of every period set."""
-        half = 1 << row
-        period = (1 << 2 * half) - 1
-        return (((1 << half) - 1) << half) * (self.every_team // period)
+        """``R_row`` from its period as bytes, least significant first; the
+        mask trims the one byte of a lattice of fewer than 8 teams."""
+        half = 1 << row >> 3  # bytes in half a period, 0 below row 3
+        period = bytes(half) + b"\xff" * half if half else b"\xaa\xcc\xf0"[row : row + 1]
+        repeats = max(self.count >> 3, 1) // len(period)
+        return int.from_bytes(period * repeats, "little") & self.every_team
 
     def mask(self, form: _Form) -> int:
         """The teams satisfying an atom of ``form`` over the grid's

@@ -6,14 +6,11 @@ import csv
 import io
 import itertools
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Union
+from typing import IO, Union
 
 from ._value import Value, _set
 from .errors import ParseError, SchemaError
 from .team import Schema, Team
-
-if TYPE_CHECKING:  # pragma: no cover - typing only; load_sigma_file loads it
-    from .query import AtomSet
 
 Source = Union[str, Path, IO[str]]
 
@@ -94,11 +91,3 @@ def team_to_csv_text(team: Team) -> str:
     buffer = io.StringIO()
     _write(team, buffer)
     return buffer.getvalue()
-
-
-def load_sigma_file(path: str | Path) -> AtomSet:
-    """Read a hypothesis file: one atom per line, ``#`` comments allowed, and
-    an optional UTF-8 byte-order mark first."""
-    from .syntax import parse_sigma  # deferred: reading a team needs no atom grammar
-
-    return parse_sigma(Path(path).read_text(encoding="utf-8-sig"))

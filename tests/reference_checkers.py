@@ -1,14 +1,14 @@
 """Reference formulations of the anonymity checkers, coded independently
 of the grouping pass in :mod:`anonatom.atoms` so that tests can
-cross-check it.  The package itself does not import this module.
+cross-check it.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .atoms import _extractor, _positive_multiplicity
-from .team import Row, Team
+from anonatom.atoms import _extractor, _positive_multiplicity
+from anonatom.team import Row, Team
 
 
 def check_k_anonymity_existential(

@@ -30,11 +30,6 @@ from anonatom import (
     verify_derivation,
 )
 from anonatom.cli import main
-from anonatom.reference import (
-    check_anonymity_via_inclusion,
-    check_k_anonymity_existential,
-    check_k_counting_variant,
-)
 from anonatom.teamlogic import AndNode, AtomNode, ExistsNode, ImplNode, LiteralNode
 from conftest import (
     CENSUS_ATTRS,
@@ -46,6 +41,11 @@ from conftest import (
     anonymity_scan,
     random_formula,
     random_small_team,
+)
+from reference_checkers import (
+    check_anonymity_via_inclusion,
+    check_k_anonymity_existential,
+    check_k_counting_variant,
 )
 
 

@@ -22,12 +22,12 @@ from anonatom import (
     satisfies,
 )
 from anonatom.atoms import _extractor
-from anonatom.reference import (
+from conftest import all_teams, anonymity_scan, make_team, random_small_team
+from reference_checkers import (
     check_anonymity_via_inclusion,
     check_k_anonymity_existential,
     check_k_counting_variant,
 )
-from conftest import all_teams, anonymity_scan, make_team, random_small_team
 
 EMPTY = Team.of(("x", "y"), [])
 SINGLETON = Team.of(("x", "y"), [("0", "0")])

@@ -206,6 +206,18 @@ class TestIndependence:
 
 
 class TestBitmaps:
+    # every full grid in the oracle's grid space, the lattices of fewer than
+    # 8 teams (0 and 1 attributes over 2 values) included
+    @pytest.mark.parametrize("n, d", [(n, 2) for n in range(5)] + [(1, 3), (2, 3)])
+    def test_row_bitmaps_match_their_definition(self, n, d):
+        cache = oracle._Lattice(countermodel._grid(n, d))
+        assert len(cache._containing) == d**n
+        for j, containing in enumerate(cache._containing):
+            # sum(1 << i for i in range(count) if i >> j & 1), written as a
+            # binary numeral, highest team first, so that it builds in linear time
+            bits = "".join("01"[i >> j & 1] for i in reversed(range(cache.count)))
+            assert containing == int(bits, 2), (n, d, j)
+
     @pytest.mark.parametrize("attrs, domain", [(("a", "b"), ("0", "1", "2")), (("a", "b", "c"), ("0", "1"))])
     def test_every_normal_atom_matches_brute_force(self, attrs, domain):
         cache = oracle._Lattice(countermodel._grid(len(attrs), len(domain)))
