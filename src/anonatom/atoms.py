@@ -9,9 +9,10 @@ with the same published tuple and a different protected tuple.
 
 The checkers (anonymity, k-anonymity, the degree, the audit counts,
 dependence and independence) all derive from one grouping pass,
-``_groups``.  Independently coded reference formulations, for tests to
-cross-check them against, live with the tests, in
-``tests/reference_checkers.py``.
+``_groups``, which keys rows by ``_picker``: a bare value on a
+one-attribute side, a tuple otherwise.  Independently coded reference
+formulations, for tests to cross-check them against, live with the
+tests, in ``tests/reference_checkers.py``.
 
 Conventions the definitions leave open: the empty team satisfies every
 atom; an empty protected side with k >= 2 holds only on the empty team
@@ -149,26 +150,33 @@ UNBOUNDED = _UnboundedDegree()
 Degree = Union[int, _UnboundedDegree]
 
 
-def _extractor(team: Team, attrs: Sequence[str]) -> Callable[[Row], Row]:
-    """Row -> value tuple over ``attrs``, bound to this team's schema.
+# What ``_picker`` returns for a row: its value tuple over several
+# attributes or none, its bare value over exactly one.
+Picked = Union[Row, str]
 
-    Always a tuple: ``itemgetter`` returns a bare value for one index and
-    cannot be built from none, so those two cases take a slice instead.
+
+def _picker(team: Team, attrs: Sequence[str]) -> Callable[[Row], Picked]:
+    """Row -> its values over ``attrs``, bound to this team's schema.
+
+    A tuple in the order named for zero or several attributes, but the
+    bare value for one, as ``itemgetter`` gives it: two rows agree on
+    ``attrs`` exactly when their picks are equal, and grouping on one
+    attribute builds no 1-tuples.  ``itemgetter`` cannot be built from
+    no index, so the empty side takes an empty slice.
     """
     idx = team.schema.indexes(attrs)
-    if len(idx) > 1:
-        return itemgetter(*idx)
-    return itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0))
+    return itemgetter(*idx) if idx else itemgetter(slice(0))
 
 
-def _groups(team: Team, published: Sequence[str], protected: Sequence[str]) -> dict[Row, list[Row]]:
+def _groups(team: Team, published: Sequence[str], protected: Sequence[str]) -> dict[Picked, list[Picked]]:
     """The one grouping pass under every production checker: each
-    published key with the protected tuple of each of its rows, so a
-    group's row count is the list's length and its distinct protected
-    tuples are the list's set.  Keys come in no particular order."""
-    pub = _extractor(team, published)
-    prot = _extractor(team, protected)
-    groups: dict[Row, list[Row]] = defaultdict(list)
+    published pick with the protected pick of each of its rows (see
+    ``_picker``: bare values on a one-attribute side), so a group's row
+    count is the list's length and its distinct protected tuples are the
+    list's set.  Keys come in no particular order."""
+    pub = _picker(team, published)
+    prot = _picker(team, protected)
+    groups: dict[Picked, list[Picked]] = defaultdict(list)
     for row in team.rows:
         groups[pub(row)].append(prot(row))
     return groups
@@ -207,10 +215,10 @@ def check_inclusion(team: Team, source: Sequence[str], target: Sequence[str]) ->
         raise ArityError(
             f"inclusion sides must have equal length: {len(source)} vs {len(target)}"
         )
-    src = _extractor(team, source)
-    tgt = _extractor(team, target)
-    occurring = {tgt(row) for row in team.rows}
-    return all(src(row) in occurring for row in team.rows)
+    src = _picker(team, source)
+    tgt = _picker(team, target)
+    occurring = set(map(tgt, team.rows))
+    return all(map(occurring.__contains__, map(src, team.rows)))
 
 
 def check_independence(team: Team, left: Sequence[str], right: Sequence[str]) -> bool:
@@ -240,9 +248,13 @@ def group_distinct_counts(
     team: Team, published: Sequence[str], protected: Sequence[str]
 ) -> dict[Row, tuple[int, int]]:
     """Audit view: per published-group key, (rows in group, distinct
-    protected tuples).  Keys come in no particular order."""
+    protected tuples).  Keys are tuples, also over one attribute, and
+    come in no particular order."""
     groups = _groups(team, published, protected)
-    return {key: (len(values), len(set(values))) for key, values in groups.items()}
+    counts = {key: (len(values), len(set(values))) for key, values in groups.items()}
+    if len(published) == 1:  # _groups keys one attribute by its bare value
+        return {(key,): count for key, count in counts.items()}
+    return counts
 
 
 def satisfies(team: Team, atom: AnyAtom) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import json
 import sys
@@ -111,6 +112,15 @@ def _countermodel_document(report, csv_path: str | None) -> dict:
 def _cmd_check(args) -> _Report:
     from .teamio import read_team_csv
 
+    # a malformed query fails before the table is read
+    if args.atom is not None:
+        from .syntax import parse_atom
+
+        atom = parse_atom(args.atom)
+    else:
+        from .teamlogic import parse_formula
+
+        formula = parse_formula(args.formula)
     loaded = read_team_csv(args.team)
     team = loaded.team
     if loaded.duplicate_rows:
@@ -118,10 +128,8 @@ def _cmd_check(args) -> _Report:
     document: dict = {"team": _team_summary(args.team, loaded)}
     pretty = [f"team: {args.team} ({len(team)} rows)"]
     if args.atom is not None:
-        from .atoms import _extractor, group_distinct_counts
-        from .syntax import parse_atom
+        from .atoms import _picker, group_distinct_counts
 
-        atom = parse_atom(args.atom)
         counts = group_distinct_counts(team, atom.published, atom.protected)
         failing = [key for key, (_, distinct) in counts.items() if distinct < atom.k]
         verdict = not failing
@@ -130,12 +138,14 @@ def _cmd_check(args) -> _Report:
         evidence = None
         if failing:
             key = min(failing)
-            published = _extractor(team, atom.published)
+            pick = key[0] if len(key) == 1 else key  # as _picker gives it
+            picks = map(_picker(team, atom.published), team.rows)
+            rows = itertools.compress(team.rows, map(pick.__eq__, picks))
             evidence = {
                 "published_key": list(key),
                 "distinct_protected": counts[key][1],
                 "required": atom.k,
-                "rows": [list(row) for row in sorted(r for r in team.rows if published(r) == key)],
+                "rows": [list(row) for row in sorted(rows)],
             }
         document["evidence"] = evidence
         pretty.append(f"atom: {args.atom.strip()}")
@@ -147,9 +157,8 @@ def _cmd_check(args) -> _Report:
                 f"needs {evidence['required']}"
             )
     else:
-        from .teamlogic import evaluate, parse_formula
+        from .teamlogic import evaluate
 
-        formula = parse_formula(args.formula)
         if args.domain is not None:  # "" and "," both give the empty domain
             domain = _split_names(args.domain)
         else:
@@ -178,10 +187,10 @@ def _cmd_audit(args) -> _Report:
         raise ConfigError("--protect needs at least one attribute")
     counts = group_distinct_counts(team, publish, protect)
     degree = min((distinct for _, distinct in counts.values()), default=UNBOUNDED)
-    groups = [
-        {"key": list(key), "rows": size, "distinct_protected": distinct}
-        for key, (size, distinct) in sorted(counts.items())
-    ]
+    groups = []
+    for key in sorted(counts):  # keys alone sort faster than (key, counts) items
+        size, distinct = counts[key]
+        groups.append({"key": list(key), "rows": size, "distinct_protected": distinct})
     unbounded = degree == UNBOUNDED
     document = {
         "team": _team_summary(args.team, loaded),
@@ -351,8 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     header = {"tool": "anonatom", "version": __version__}
+    collecting = gc.isenabled()
     try:
         args = build_parser().parse_args(argv)
+        # a command's per-row objects form no cycles and live until it
+        # returns, so the cyclic collector's passes would free nothing
+        gc.disable()
         code, fields, pretty = args.func(args)
         if args.pretty:
             print("\n".join(pretty))
@@ -365,6 +378,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (AnonatomError, OSError, ValueError, argparse.ArgumentError) as exc:
         print(json.dumps({**header, "error": {"kind": type(exc).__name__, "message": str(exc)}}))
         return EXIT_ERROR
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def console_main() -> None:

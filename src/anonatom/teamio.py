@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 from pathlib import Path
 from typing import IO, Union
@@ -42,14 +41,25 @@ def read_team_csv(source: Source) -> LoadedTeam:
     return _read(source)
 
 
+class _Interned(dict):
+    """Maps each value seen to the first equal ``str`` object read."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: str) -> str:
+        self[value] = value
+        return value
+
+
 def _read(handle: IO[str]) -> LoadedTeam:
     # a leading byte-order mark is not part of the first name; a path's
     # decoder has already dropped it, a stream's text may still hold it
     first = handle.readline().removeprefix("\ufeff")
     reader = csv.reader(itertools.chain((first,) if first else (), handle))
     # one str object per distinct value: census columns repeat heavily, and
-    # a shared value is stored once and hashes once when rows are grouped
-    intern = {}.setdefault
+    # a shared value is stored once and hashes once when rows are grouped;
+    # a one-argument lookup lets ``map`` walk the record alone
+    intern = _Interned().__getitem__
     try:
         header = next(reader, None)
         if header is None:
@@ -57,14 +67,17 @@ def _read(handle: IO[str]) -> LoadedTeam:
         schema = Schema(tuple(header))
         width = len(schema)
         rows = []
+        append = rows.append
         for record in reader:
+            # before the width test: over an empty header a blank line would
+            # pass it as a row of no values
             if not record:
                 continue  # blank line
             if len(record) != width:
                 raise ParseError(
                     f"expected {width} fields, got {len(record)}", line=reader.line_num
                 )
-            rows.append(tuple(map(intern, record, record)))
+            append(tuple(map(intern, record)))
     except csv.Error as exc:
         raise ParseError(str(exc), line=reader.line_num) from exc
     # the reader yields only strings, and every width is checked above
@@ -85,9 +98,3 @@ def _write(team: Team, handle: IO[str]) -> None:
     writer = csv.writer(handle)
     writer.writerow(team.schema.attributes)
     writer.writerows(team.sorted_rows())
-
-
-def team_to_csv_text(team: Team) -> str:
-    buffer = io.StringIO()
-    _write(team, buffer)
-    return buffer.getvalue()

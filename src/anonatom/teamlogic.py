@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from operator import eq, itemgetter, ne
 from typing import Mapping, Sequence, Union
 
 from ._value import Value, _set
@@ -121,14 +122,13 @@ def subteam(team: Team, guard: Sequence[LiteralNode]) -> Team:
     left by the literals before it in one pass."""
     rows = team.rows
     for literal in guard:
-        left = team.schema.index(literal.attribute)
-        negated = literal.negated
+        column = map(itemgetter(team.schema.index(literal.attribute)), rows)
         if literal.target_is_attribute:
-            right = team.schema.index(literal.target)
-            rows = [row for row in rows if (row[left] == row[right]) != negated]
+            targets = map(itemgetter(team.schema.index(literal.target)), rows)
         else:
-            value = literal.target
-            rows = [row for row in rows if (row[left] == value) != negated]
+            targets = itertools.repeat(literal.target)
+        test = ne if literal.negated else eq
+        rows = list(itertools.compress(rows, map(test, column, targets)))
     return Team._trusted(team.schema, frozenset(rows))
 
 

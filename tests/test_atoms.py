@@ -19,14 +19,18 @@ from anonatom import (
     check_independence,
     check_k_anonymity,
     group_by,
+    group_distinct_counts,
     satisfies,
 )
-from anonatom.atoms import _extractor
-from conftest import all_teams, anonymity_scan, make_team, random_small_team
+from conftest import all_teams, anonymity_scan, make_team, random_side, random_small_team
 from reference_checkers import (
     check_anonymity_via_inclusion,
+    check_dependence_pairwise,
+    check_independence_pairwise,
+    check_inclusion_pairwise,
     check_k_anonymity_existential,
     check_k_counting_variant,
+    group_counts_by_scan,
 )
 
 EMPTY = Team.of(("x", "y"), [])
@@ -283,7 +287,9 @@ class TestStructuralProperties:
                     assert check_anonymity(team, pub, prot) == anonymity_scan(team, pub, prot)
 
     def test_keys_are_tuples_in_the_order_named(self, census_team):
-        row = ("Balbuk", "Watarru", "70,000")
+        """The audit's keys are tuples on every side, one attribute
+        included, though the grouping pass keys one attribute by its bare
+        value."""
         keys = {
             (): (),
             ("salary",): ("70,000",),
@@ -291,9 +297,44 @@ class TestStructuralProperties:
             ("surname", "salary", "surname"): ("Balbuk", "70,000", "Balbuk"),
         }
         for attrs, key in keys.items():
-            assert _extractor(census_team, attrs)(row) == key
+            assert key in group_distinct_counts(census_team, attrs, ("hometown",))
         with pytest.raises(SchemaError, match="'age'"):
-            _extractor(census_team, ("surname", "age"))
+            group_distinct_counts(census_team, ("surname", "age"), ("hometown",))
+
+
+class TestAgainstReferences:
+    """Every production checker against its reference on random teams,
+    with one-attribute sides (keyed by bare values in the grouping pass),
+    empty sides, repeated names and sides that overlap."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_checkers_agree(self, seed):
+        rng = random.Random(seed)
+        attrs = ("a", "b", "c")
+        for _ in range(250):
+            team = random_small_team(rng, attrs, "012", 7)
+            left = random_side(rng, attrs, 2)
+            right = random_side(rng, attrs, 2)
+            k = rng.randint(1, 4)
+            counts = group_distinct_counts(team, left, right)
+            reference = group_counts_by_scan(team, left, right)
+            assert counts == reference
+            assert all(type(key) is tuple and len(key) == len(left) for key in counts)
+            degree = min((distinct for _, distinct in reference.values()), default=UNBOUNDED)
+            assert anonymity_degree(team, left, right) == degree
+            assert check_k_anonymity(team, left, right, k) == check_k_anonymity_existential(
+                team, left, right, k
+            )
+            assert check_dependence(team, left, right) == check_dependence_pairwise(
+                team, left, right
+            )
+            assert check_independence(team, left, right) == check_independence_pairwise(
+                team, left, right
+            )
+            target = tuple(rng.choice(attrs) for _ in left)
+            assert check_inclusion(team, left, target) == check_inclusion_pairwise(
+                team, left, target
+            )
 
 
 class TestSatisfiesDispatcher:

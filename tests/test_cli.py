@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -405,6 +406,13 @@ class TestErrorRecords:
         record = json.loads(lines[0])
         assert record["error"]["kind"] in ("FileNotFoundError", "OSError")
 
+    @pytest.mark.parametrize("query", [["--atom", "hometown surname"], ["--formula", "dep(a"]])
+    def test_malformed_query_fails_before_the_team_is_read(self, capsys, tmp_path, query):
+        missing = str(tmp_path / "missing.csv")
+        code, doc = run_json(capsys, "check", "--team", missing, *query)
+        assert code == 2
+        assert doc["error"]["kind"] == "ParseError"
+
     def test_version_flag(self, capsys):
         code = main(["--version"])
         assert code == 0
@@ -432,6 +440,38 @@ class TestErrorRecords:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["kind"] == "ArgumentError"
         assert captured.err == ""
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "argv, expected_code",
+    [
+        (["audit", "--team", "{team}", "--publish", "hometown", "--protect", "surname"], 0),
+        (["audit", "--team", "{team}", "--publish", "hometown", "--protect", "age"], 2),
+        (["--version"], 0),
+    ],
+)
+def test_main_leaves_the_collector_as_it_found_it(
+    capsys, monkeypatch, census_csv, enabled, argv, expected_code
+):
+    """The cyclic collector is paused while a command runs, and restored
+    to its earlier state after a report, an error record or an exit."""
+    from anonatom import teamio
+
+    read = teamio.read_team_csv
+    during = []
+    monkeypatch.setattr(
+        teamio, "read_team_csv", lambda path: during.append(gc.isenabled()) or read(path)
+    )
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main([arg.format(team=census_csv) for arg in argv]) == expected_code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+    capsys.readouterr()
+    assert during == ([False] if argv[0] == "audit" else [])
 
 
 def test_saturation_output_does_not_depend_on_hash_seed(tmp_path):

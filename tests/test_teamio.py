@@ -6,7 +6,6 @@ import tracemalloc
 import pytest
 
 from anonatom import ParseError, SchemaError, Team, check_anonymity, read_team_csv, write_team_csv
-from anonatom.teamio import team_to_csv_text
 from conftest import CENSUS_ATTRS, CENSUS_ROWS
 
 CENSUS_CSV = (
@@ -32,6 +31,20 @@ class TestReadTeamCsv:
         loaded = read_team_csv(io.StringIO("a,b\n"))
         assert loaded.team.is_empty
         assert loaded.team.schema.attributes == ("a", "b")
+
+    @pytest.mark.parametrize("text", ["\n\n\n", "\r\n\r\n"])
+    def test_blank_lines_alone_are_an_empty_team_over_no_attributes(self, text):
+        """The blank first line is an empty header, and the blank lines
+        after it are no rows, not rows of no values."""
+        loaded = read_team_csv(io.StringIO(text, newline=""))
+        assert loaded.team.schema.attributes == ()
+        assert len(loaded.team) == 0
+        assert loaded.duplicate_rows == 0
+
+    def test_blank_lines_between_rows_are_skipped(self):
+        loaded = read_team_csv(io.StringIO("a,b\n\n0,1\r\n\r\n\n1,1\n\n", newline=""))
+        assert loaded.team == Team.of(("a", "b"), [("0", "1"), ("1", "1")])
+        assert loaded.duplicate_rows == 0
 
     def test_empty_file(self):
         with pytest.raises(SchemaError, match="header"):
@@ -152,5 +165,6 @@ class TestWriteTeamCsv:
 
     def test_rows_written_in_canonical_order(self):
         team = Team.of(("a",), [("2",), ("0",), ("1",)])
-        text = team_to_csv_text(team)
-        assert text.splitlines() == ["a", "0", "1", "2"]
+        buffer = io.StringIO()
+        write_team_csv(team, buffer)
+        assert buffer.getvalue().splitlines() == ["a", "0", "1", "2"]
