@@ -157,15 +157,16 @@ def _cmd_check(args) -> _Report:
                 f"needs {evidence['required']}"
             )
     else:
-        from .teamlogic import evaluate
+        from .teamlogic import _quantifies, evaluate
 
+        domain = None  # only an ``exists`` reads the domain
         if args.domain is not None:  # "" and "," both give the empty domain
             domain = _split_names(args.domain)
-        else:
+        elif _quantifies(formula):
             domain = tuple(sorted(set(itertools.chain.from_iterable(team.rows))))
-        verdict = evaluate(team, domain, formula)
+        verdict = evaluate(team, () if domain is None else domain, formula)
         document["query"] = {"kind": "formula", "text": args.formula.strip()}
-        document["domain"] = list(domain)
+        document["domain"] = None if domain is None else list(domain)
         document["verdict"] = verdict
         document["evidence"] = None
         pretty.append(f"formula: {args.formula.strip()}")

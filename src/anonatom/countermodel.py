@@ -1,46 +1,47 @@
 """Explicit refuting teams for non-derivable entailment claims.
 
-Three constructions are used, all over decimal string tokens "0", "1",
+Two constructions are used, both over decimal string tokens "0", "1",
 ... so that only equality matters:
 
-* ``ternary grid`` (plain fragment): over domain {0,1,2}, keep every
-  assignment with a nonzero published coordinate or an all-zero
-  protected tuple.  The all-zero row then has no partner differing on
-  the protected side, so the goal fails, while every non-subsuming
-  hypothesis keeps its witnesses.
-* ``truncated grid`` (simple k-atoms): over domain {0..D-1}, keep every
-  assignment with a nonzero published coordinate or a protected value
-  below k-1.  The all-zero published group then shows at most k-1
-  protected values.  D starts at goal multiplicity + the largest
-  hypothesis multiplicity and grows until verification passes; a finite
-  hypothesis set always admits a finite refuter even though unbounded
-  multiplicity demands would not.
+* ``truncated grid`` (plain fragment and simple k-atoms): over domain
+  {0..D-1}, keep every assignment with a nonzero published coordinate or
+  every protected value below k-1.  The all-zero published group then
+  shows at most k-1 protected values, so the goal fails.  A group of a
+  grid over D values shows at most D values of one protected attribute,
+  so a simple hypothesis of multiplicity m > D fails there: D starts at
+  max(3, the largest hypothesis multiplicity), the smallest domain that
+  can refute, and grows until the grid refutes.  At D = 3 and k = 2 this
+  is the ternary grid (a nonzero published coordinate or an all-zero
+  protected tuple), and the report says ``ternary-grid``.
 * ``full grid`` (goals whose protected side cancels away): such goals
   hold only on the empty team, so any nonempty team satisfying the
   hypotheses refutes them; the full grid over a domain at least as large
   as every hypothesis multiplicity does.
 
+``_refuter`` picks one of the two; the engines and the oracle call it.
 Each construction checks its grid with the checkers and returns None
-when the grid does not refute; the public builders and the engines raise
-``VerificationError`` then instead of returning an unverified report.
-The public builders check their fragment and put ``(sigma, goal)`` in
-normal form (``query._Query``); the engines and the oracle pass the
-form they hold straight to the constructions.  The size caps are the module
-constants below, checked before any row is built.
+when it does not refute; the truncated grid consults consistency and
+subsumption only before it grows past its first domain.  The public
+builders and the engines raise ``VerificationError`` then instead of
+returning an unverified report.  The public builders check their
+fragment and put ``(sigma, goal)`` in normal form (``query._Query``);
+the engines and the oracle pass the form they hold straight to the
+constructions.  The size caps are the module constants below, checked
+before any row is built.
 
 A grid depends only on its shape: the number of attributes, the domain
-size, the goal's published and protected masks over the sorted
-attribute names, and the truncation bound.  Grids inside the oracle's
-grid space (at most ``GRID_SPACE_ATTRIBUTES`` attributes over at most
-``GRID_SPACE_DOMAIN`` values, so at most 81 rows) are built once per
-shape and kept, with a memo of ``satisfies`` verdicts on them keyed by
-the atom's form, k clamped to the grid's rows + 1, so the engines and
+size, the goal's published and protected masks over the sorted attribute
+names, and the truncation bound (at most D-1).  Grids inside the
+oracle's grid space (at most ``GRID_SPACE_ATTRIBUTES`` attributes over
+at most ``GRID_SPACE_DOMAIN`` values, so at most 81 rows) are built once
+per shape and kept, with a memo of ``satisfies`` verdicts on them keyed
+by the atom's form, k clamped to the grid's rows + 1, so the engines and
 the oracle build each small grid once and check each atom shape on it
 once.  The oracle keeps its bitmaps over the teams of a full grid on
 that grid's entry (``_Grid.lattice``), so this is the one process-wide
-grid cache.  It is bounded by that grid space: a few hundred shapes, each
-with at most 3^4 atom sides times 82 multiplicities.  Larger grids are
-built and checked on every call.  Each team still carries the
+grid cache.  It is bounded by that grid space: a few hundred shapes,
+each with at most 3^4 atom sides times 82 multiplicities.  Larger grids
+are built and checked on every call.  Each team still carries the
 instance's own attribute names, and ``verify_countermodel`` always runs
 the checkers on the team itself.
 """
@@ -66,7 +67,7 @@ CONSTRUCTION_WITNESS = "explicit-witness"
 GRID_SPACE_ATTRIBUTES = 4
 GRID_SPACE_DOMAIN = 3
 
-MAX_ATTRIBUTES = 12  # of a ternary grid, which has 3^n assignments
+MAX_ATTRIBUTES = 12  # of a truncated grid, which has at least 3^n assignments
 MAX_DOMAIN = 64  # the truncated grid's largest domain
 MAX_ROWS = 2_000_000  # assignments of a truncated or full grid
 
@@ -210,7 +211,8 @@ def _grid(
     """
     if domain_size**n > MAX_ROWS:
         raise ResourceError(f"domain {domain_size} over {n} attributes exceeds {MAX_ROWS} rows")
-    key = (n, domain_size, published, protected, bound)
+    # a bound past domain_size - 1 keeps the same rows, so it shares their key
+    key = (n, domain_size, published, protected, min(bound, domain_size - 1))
     grid = _grids.get(key)
     if grid is None:
         grid = _Grid(_grid_rows(*key))
@@ -230,7 +232,8 @@ def _protecting(sigma: AtomSet, goal: Atom) -> _Query:
 
 
 def build_anonymity_countermodel(sigma: AtomSet, goal: Atom) -> CountermodelReport:
-    """Ternary-grid refuter for a non-derivable plain-fragment goal.
+    """Ternary-grid refuter for a non-derivable plain-fragment goal: the
+    truncated grid at D = 3, which always refutes one.
 
     Requires a goal whose protected side survives normalization; goals
     that cancel to an empty protected side need ``build_full_grid_countermodel``.
@@ -238,39 +241,25 @@ def build_anonymity_countermodel(sigma: AtomSet, goal: Atom) -> CountermodelRepo
     if goal.k != 2 or any(a.k != 2 for a in sigma.atoms):
         raise FragmentError("the ternary construction covers multiplicity-2 atoms only")
     query = _protecting(sigma, goal)
-    return _verified(_ternary(query), query, CONSTRUCTION_TERNARY)
-
-
-def _ternary(query: _Query) -> CountermodelReport | None:
-    n = len(query.attrs)
-    if n > MAX_ATTRIBUTES:
-        raise ResourceError(
-            f"{n} attributes would enumerate 3^{n} assignments; "
-            f"cap is {MAX_ATTRIBUTES} (try a smaller instance)"
-        )
-    published, protected, _ = query.goal_form
-    grid = _grid(n, 3, published, protected)
-    return _report(grid.team(query.attrs), grid.holds, query, 3, CONSTRUCTION_TERNARY)
+    return _verified(_truncated(query), query, CONSTRUCTION_TERNARY)
 
 
 def build_k_anonymity_countermodel(sigma: AtomSet, goal: Atom) -> CountermodelReport:
     """Truncated-grid refuter for a non-derivable simple k-atom goal.
 
-    The domain starts at max(3, goal.k + largest hypothesis multiplicity)
-    and grows until verification passes; the report records the domain
-    size used.
+    The domain starts at max(3, largest hypothesis multiplicity), the
+    smallest that can refute, and grows until the grid refutes; the report
+    records the domain size used, and says ``ternary-grid`` for the grid
+    at D = 3 of a k = 2 goal.
     """
     for atom in (*sigma.atoms, goal):
         if not atom.is_simple:
             raise FragmentError(f"{atom} is not simple; the truncated grid needs |protected| = 1")
     if goal.k < 2:
         raise ValueError("multiplicity-1 goals hold everywhere; nothing to refute")
-    return _truncated(_protecting(sigma, goal))
-
-
-def _truncated(query: _Query) -> CountermodelReport:
+    query = _protecting(sigma, goal)
     # guard the documented precondition (a non-derivable instance): when the
-    # goal follows from the hypotheses no truncation can ever verify
+    # goal follows from the hypotheses no grid refutes it
     bad = _inconsistent_member(query.hyps)
     if bad is not None:
         raise ValueError(
@@ -280,15 +269,38 @@ def _truncated(query: _Query) -> CountermodelReport:
     hyp = _subsuming(query.hyps, query.goal_form)
     if hyp is not None:
         raise ValueError(f"{hyp} subsumes the goal; the entailment holds, nothing to refute")
+    return _verified(_truncated(query), query, CONSTRUCTION_TRUNCATED)
+
+
+def _refuter(query: _Query) -> CountermodelReport | None:
+    """The full grid if the goal protects nothing after cancellation, else
+    the truncated grid (for plain-fragment or simple instances)."""
+    return (_truncated if query.goal_form[1] else _full_grid)(query)
+
+
+def _truncated(query: _Query) -> CountermodelReport | None:
+    """The truncated grid over the smallest refuting domain up to
+    ``MAX_DOMAIN``; None if the first does not refute and the instance is
+    inconsistent or subsumed, so that none can."""
+    n = len(query.attrs)
+    if n > MAX_ATTRIBUTES:
+        raise ResourceError(
+            f"{n} attributes would enumerate 3^{n} assignments; "
+            f"cap is {MAX_ATTRIBUTES} (try a smaller instance)"
+        )
     published, protected, k = query.goal_form
-    max_mult = max((form[2] for _, form in query.hyps), default=1)
-    domain = max(3, k + max(1, max_mult))
-    while domain <= MAX_DOMAIN:
-        grid = _grid(len(query.attrs), domain, published, protected, k - 2)
-        report = _report(grid.team(query.attrs), grid.holds, query, domain, CONSTRUCTION_TRUNCATED)
+    start = max([3, *[form[2] for _, form in query.hyps]])
+    for domain in range(start, MAX_DOMAIN + 1):
+        grid = _grid(n, domain, published, protected, k - 2)
+        construction = CONSTRUCTION_TERNARY if domain == 3 and k == 2 else CONSTRUCTION_TRUNCATED
+        report = _report(grid.team(query.attrs), grid.holds, query, domain, construction)
         if report is not None:
             return report
-        domain += 1
+        if domain == start and (
+            _inconsistent_member(query.hyps) is not None
+            or _subsuming(query.hyps, query.goal_form) is not None
+        ):
+            return None
     raise ResourceError(
         f"no refuting truncation found up to domain size {MAX_DOMAIN} for goal {query.goal}"
     )
@@ -322,7 +334,9 @@ def witness_report(team: Team, sigma: AtomSet, goal: Atom) -> CountermodelReport
 
 
 def candidate_teams(sigma: AtomSet, goal: Atom) -> Iterator[tuple[str, Team]]:
-    """Refuters from the constructions that apply, each verified by its builder.
+    """At most one ``(construction, team)``: the verified refuter of
+    ``_refuter``, if the instance is plain-fragment or simple or its goal
+    protects nothing after cancellation, and a grid within the caps refutes.
 
     The constructions are complete refuters on their fragments, so an
     oracle that tries them before enumerating never misses a refutation;
@@ -334,23 +348,13 @@ def candidate_teams(sigma: AtomSet, goal: Atom) -> Iterator[tuple[str, Team]]:
 
 def _candidates(query: _Query) -> Iterator[tuple[str, Team]]:
     _, protected, k = query.goal_form
-    if not protected and k >= 2:
-        yield from _candidate(CONSTRUCTION_FULL, _full_grid, query)
+    atoms = (*query.sigma.atoms, query.goal)
+    covered = all(a.k == 2 for a in atoms) or all(a.is_simple for a in atoms)
+    if k < 2 or protected and not covered:
         return
-    if k == 2 and all(form[2] == 2 for _, form in query.hyps):
-        yield from _candidate(CONSTRUCTION_TERNARY, _ternary, query)
-    if k >= 2 and all(atom.is_simple for atom in (*query.sigma.atoms, query.goal)):
-        yield from _candidate(CONSTRUCTION_TRUNCATED, _truncated, query)
-
-
-def _candidate(
-    construction: str, build: Callable[[_Query], CountermodelReport | None], query: _Query
-) -> Iterator[tuple[str, Team]]:
-    """The team ``build`` makes, if it refutes within the caps (the
-    truncated grid's guard raises ValueError on instances it cannot refute)."""
     try:
-        report = build(query)
-    except (ResourceError, ValueError):
+        report = _refuter(query)
+    except ResourceError:
         return
     if report is not None:
-        yield construction, report.team
+        yield report.construction, report.team

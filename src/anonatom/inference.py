@@ -36,20 +36,10 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
-from typing import Callable
 
 from ._value import Value, _set
 from .atoms import Atom
-from .countermodel import (
-    CONSTRUCTION_FULL,
-    CONSTRUCTION_TERNARY,
-    CONSTRUCTION_TRUNCATED,
-    CountermodelReport,
-    _full_grid,
-    _ternary,
-    _truncated,
-    _verified,
-)
+from .countermodel import CountermodelReport, _refuter, _verified
 from .errors import FragmentError, ResourceError
 from .query import AtomSet, NormalAtom, _inconsistent_member, _Query, _subsuming, normalize
 
@@ -197,16 +187,11 @@ def _settled(query: _Query) -> Entailment | None:
     return None
 
 
-def _decide(
-    sigma: AtomSet,
-    goal: Atom,
-    refute: Callable[[_Query], CountermodelReport | None],
-    construction: str,
-) -> Entailment:
-    """The complete decision shared by the plain and the simple fragment.
-    The full grid refutes a goal that protects nothing after cancellation
-    (no hypothesis of a consistent set subsumes one); the fragment's
-    ``construction``, built by ``refute``, refutes the rest."""
+def _decide(sigma: AtomSet, goal: Atom) -> Entailment:
+    """The complete decision shared by the plain and the simple fragment;
+    ``countermodel._refuter`` builds the refuter of a goal that does not
+    follow, so both engines return the same countermodel on an instance in
+    both fragments."""
     query = _Query(sigma, goal)
     settled = _settled(query)
     if settled is not None:
@@ -214,9 +199,7 @@ def _decide(
     hyp = _subsuming(query.hyps, query.goal_form)
     if hyp is not None:
         return Entailment(Verdict.DERIVABLE, derivation=_weakening(hyp, goal))
-    if not query.goal_form[1]:
-        refute, construction = _full_grid, CONSTRUCTION_FULL
-    report = _verified(refute(query), query, construction)
+    report = _verified(_refuter(query), query, "grid")
     return Entailment(Verdict.NOT_DERIVABLE, countermodel=report)
 
 
@@ -236,7 +219,7 @@ def entails_anonymity(sigma: AtomSet, goal: Atom) -> Entailment:
                 f"hypothesis {atom} has multiplicity {atom.k}; "
                 "use entails_k_simple or entails_k_saturate"
             )
-    return _decide(sigma, goal, _ternary, CONSTRUCTION_TERNARY)
+    return _decide(sigma, goal)
 
 
 def entails_k_simple(sigma: AtomSet, goal: Atom) -> Entailment:
@@ -247,7 +230,7 @@ def entails_k_simple(sigma: AtomSet, goal: Atom) -> Entailment:
             raise FragmentError(
                 f"{atom} is not simple (one protected attribute); use entails_k_saturate"
             )
-    return _decide(sigma, goal, _truncated, CONSTRUCTION_TRUNCATED)
+    return _decide(sigma, goal)
 
 
 # Saturation bookkeeping: per (published, protected) pair we keep the best

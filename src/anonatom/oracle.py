@@ -10,11 +10,12 @@ some.  The candidates come from ``countermodel``'s shape cache: every
 grid inside the oracle's grid space (at most 4 attributes over at most 3
 values) is built once per shape and each atom shape is checked on it
 once, whichever engine or oracle call asks first, so an entailed
-instance costs a few memo reads before the enumeration.  The cache
-knows nothing of subsumption; a candidate is returned only when its
-builder's check says it refutes.  A call puts the question in normal
-form once (``query._Query``), and the candidates, the shape cache
-and the bitmaps all read that form.
+instance costs a few memo reads before the enumeration.  The first grid
+is checked without subsumption, which only stops a truncated grid from
+growing; a candidate is returned only when its builder's check says it
+refutes.  A call puts the question in normal form once
+(``query._Query``), and the candidates, the shape cache and the bitmaps
+all read that form.
 
 Exhaustive mode enumerates the teams over the full grid of the shape
 cache, the grid the full-grid construction uses at that domain, and

@@ -159,6 +159,15 @@ def _nonempty_subsets(domain: tuple[str, ...]) -> list[frozenset[str]]:
     return subsets
 
 
+def _quantifies(formula: Formula) -> bool:
+    """True iff ``formula`` has an ``exists``, the only node that reads a domain."""
+    if isinstance(formula, AndNode):
+        return any(map(_quantifies, formula.parts))
+    if isinstance(formula, ImplNode):
+        return _quantifies(formula.body)
+    return isinstance(formula, ExistsNode)
+
+
 def evaluate(team: Team, domain: Sequence[str], formula: Formula) -> bool:
     """Evaluate ``formula`` on ``team``; ``domain`` supplies the candidate
     values for existential quantifiers."""

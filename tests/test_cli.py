@@ -129,6 +129,20 @@ class TestCheck:
             "kind": "DomainError", "message": "existential quantification over an empty domain",
         }
 
+    @pytest.mark.parametrize("formula, domain", [
+        ('x = "a" & anon(2 ; x ; y)', None),
+        ("exists v (anon(1 ; v ; y))", ["a", "b", "c", "d"]),
+        ('x = "a" -> (anon(1 ; x ; y) & exists v (anon(1 ; v ; y)))', ["a", "b", "c", "d"]),
+    ])
+    def test_team_values_are_the_domain_of_a_quantified_formula(
+        self, capsys, tmp_path, formula, domain
+    ):
+        # without --domain, the team's values are collected only for an exists
+        path = tmp_path / "two.csv"
+        path.write_text("x,y\na,b\nc,d\n", encoding="utf-8")
+        code, doc = run_json(capsys, "check", "--team", str(path), "--formula", formula)
+        assert code in (0, 1) and doc["domain"] == domain
+
     def test_empty_team_holds_everything(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("x,y\n", encoding="utf-8")
@@ -310,6 +324,17 @@ class TestEntail:
             "--mode", "k-simple",
         )
         assert code == 0
+
+    def test_k_simple_goal_past_the_largest_domain_is_refuted(self, capsys, tmp_path):
+        # no hypothesis asks for more than 3 values, so the 3 x 3 grid refutes
+        sigma_path = tmp_path / "s.txt"
+        sigma_path.write_text("", encoding="utf-8")
+        code, doc = run_json(
+            capsys, "entail", "--sigma", str(sigma_path), "--goal", "x Y64 y",
+            "--mode", "k-simple",
+        )
+        assert code == 1
+        assert doc["countermodel"]["rows"] == 9 and doc["countermodel"]["domain_size"] == 3
 
     def test_saturate_unknown_exits_three(self, capsys, tmp_path):
         sigma_path = tmp_path / "s.txt"
@@ -689,8 +714,7 @@ def test_reports_are_one_line_of_unchanged_json(capsys, tmp_path, census_csv):
         )),
         (["check", "--team", census_csv, "--formula", formula], 0, _report(
             "check", team=census, query={"kind": "formula", "text": formula},
-            domain=["100,000", "70,000", "90,000", "Amata", "Balbuk", "Barambah", "Finke",
-                    "Jones", "Smith", "Watarru", "Williams", "Yunipingu"],
+            domain=None,
             verdict=True, evidence=None,
         )),
         (["audit", "--team", census_csv, "--publish", "hometown", "--protect", "salary",

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -19,6 +20,7 @@ from anonatom import (
     check_anonymity,
     check_k_anonymity,
     entails_anonymity,
+    entails_k_simple,
     satisfies,
     semantic_entails,
     verify_countermodel,
@@ -115,16 +117,16 @@ class TestTernaryGrid:
 
 
 class TestTruncatedGrid:
-    def test_domain_four_golden(self):
+    def test_domain_three_golden(self):
         report = build_k_anonymity_countermodel(AtomSet.of(), atom("x", "y", 3))
-        assert report.domain_size == 4
+        assert report.domain_size == 3
         expected = sorted(
             (str(x), str(y))
-            for x, y in itertools.product(range(4), repeat=2)
+            for x, y in itertools.product(range(3), repeat=2)
             if x != 0 or y <= 1
         )
         assert report.team.sorted_rows() == expected
-        assert len(report.team) == 14
+        assert len(report.team) == 8
         assert not check_k_anonymity(report.team, ("x",), ("y",), 3)
 
     def test_hypothesis_kept(self):
@@ -146,6 +148,49 @@ class TestTruncatedGrid:
         a = build_k_anonymity_countermodel(AtomSet.of(atom("x", "y", 2)), atom("x", "y", 4))
         b = build_k_anonymity_countermodel(AtomSet.of(atom("x", "y", 2)), atom("x", "y", 4))
         assert a == b
+
+
+class TestStartDomain:
+    def test_report_domain_is_the_smallest_refuting_grid(self):
+        # the grid_rows enumeration below decides, domain by domain from 3,
+        # which grid refutes first; the engine must report that domain
+        rng = random.Random(23)
+        refuted = 0
+        for _ in range(300):
+            attrs = "abcde"[: rng.randint(2, 5)]
+
+            def simple(low):
+                y = rng.choice(attrs)
+                others = [a for a in attrs if a != y]
+                return atom(rng.sample(others, rng.randint(0, min(2, len(others)))), y,
+                            rng.randint(low, 6))
+
+            sigma = AtomSet.of(*(simple(1) for _ in range(rng.randint(0, 3))),
+                               extra_attributes=attrs)
+            goal = simple(2)
+            result = entails_k_simple(sigma, goal)
+            if result.derivable:
+                continue
+            refuted += 1
+            report = result.countermodel
+            assert verify_countermodel(report, sigma, goal)
+
+            def refutes(domain):
+                team = Team.of(tuple(attrs), grid_rows(attrs, domain, goal.published,
+                                                       goal.protected, goal.k - 2))
+                return all(satisfies(team, h) for h in sigma) and not satisfies(team, goal)
+
+            smallest = next(d for d in itertools.count(3) if refutes(d))
+            assert report.domain_size == smallest, (sigma, goal)
+            ternary = smallest == 3 and goal.k == 2
+            assert report.construction == ("ternary-grid" if ternary else "truncated-grid")
+        assert refuted > 200
+
+    def test_both_engines_give_one_countermodel(self):
+        sigma, goal = AtomSet.of(atom("y", "x"), atom("z", "y")), atom("x", "y")
+        plain = entails_anonymity(sigma, goal).countermodel
+        assert plain == entails_k_simple(sigma, goal).countermodel
+        assert plain.construction == "ternary-grid"
 
 
 class TestFullGrid:
@@ -270,11 +315,37 @@ class TestShapeCache:
     def test_only_the_oracle_grid_space_is_cached(self):
         countermodel._grids.clear()
         build_anonymity_countermodel(AtomSet.of(), atom("abcd", "e"))  # 5 attributes
-        build_k_anonymity_countermodel(AtomSet.of(), atom("x", "y", 3))  # domain 4
+        build_k_anonymity_countermodel(AtomSet.of(atom("x", "y", 4)), atom("x", "y", 5))  # domain 4
         build_full_grid_countermodel(AtomSet.of(atom("x", "y", 4)), atom("x", "x"))  # domain 4
         assert not countermodel._grids
         build_anonymity_countermodel(AtomSet.of(), atom("abc", "d"))  # 4 attributes, 81 rows
         assert len(countermodel._grids) == 1
+
+    @pytest.mark.parametrize("sigma, goal", [
+        (AtomSet.of(atom("x", "y", 5)), atom("x", "y", 3)),  # subsumed, from domain 5
+        (AtomSet.of(atom("x", "x", 4)), atom("x", "y", 3)),  # inconsistent, from domain 4
+    ])
+    def test_derivable_instance_builds_at_most_one_grid(self, monkeypatch, sigma, goal):
+        countermodel._grids.clear()
+        built = []
+        build = countermodel._grid_rows
+        monkeypatch.setattr(countermodel, "_grid_rows", lambda *key: built.append(key) or build(*key))
+        assert entails_k_simple(sigma, goal).derivable
+        with pytest.raises(ValueError, match="nothing to refute"):
+            build_k_anonymity_countermodel(sigma, goal)
+        assert not built
+        cfg = OracleConfig(domain_size=3, attribute_limit=2)
+        assert semantic_entails(sigma, goal, cfg).status is not OracleStatus.REFUTED
+        # one truncated grid (a protected position), then the oracle's full grid
+        assert [key[3] != 0 for key in built] == [True, False]
+
+    def test_goal_multiplicities_share_two_entries(self):
+        countermodel._grids.clear()
+        for k in range(3, 101):
+            report = entails_k_simple(AtomSet.of(), atom("x", "y", k)).countermodel
+            assert report.domain_size == 3
+        # bounds past domain - 1 keep every row, so they share one key
+        assert len(countermodel._grids) == 2
 
     def test_engine_and_oracle_build_and_check_a_refuter_once(self, monkeypatch):
         countermodel._grids.clear()

@@ -28,7 +28,7 @@ from anonatom import (
 from anonatom.countermodel import candidate_teams
 from conftest import all_normal_shapes
 
-EXPECTED = "40a2b058c50b3d2b9c19fe15255632ca3d5a9e2ecea82d0af2afcb94dc8ecc34"
+EXPECTED = "a1ffedde9564ce7f2c5888447a7806252892b8c495c7359d3e1e9c905a6a9d6d"
 
 
 def _team(team):
