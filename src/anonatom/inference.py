@@ -103,26 +103,29 @@ class Entailment(Value):
     """An engine's answer: the verdict, with a proof tree when Derivable
     and a countermodel when NotDerivable.
 
-    ``saturated`` is the closure that ``entails_k_saturate`` reached, as a
-    set of normal atoms; the complete engines, and saturation answers
-    settled before any closure is built (k = 1 goals, inconsistent
-    hypotheses), give None.  The set is built from the closure's masks on
-    first read and then kept, so a caller that never reads it never pays
-    for it.  It takes no part in equality.
+    ``saturated`` is the whole closure of ``entails_k_saturate``'s
+    hypotheses, as a set of normal atoms; the complete engines, and
+    saturation answers settled before any closure is built (k = 1 goals,
+    inconsistent hypotheses), give None.  It is computed on first read and
+    then kept: from the answering run's ``best`` when that run completed,
+    otherwise (the run stopped at the goal, or the answer came before any
+    run) by one full saturation, which may raise ``ResourceError``.  A
+    caller that never reads it never pays for it.  It takes no part in
+    equality.
     """
 
     _fields = ("verdict", "derivation", "countermodel")
     verdict: Verdict
     derivation: Derivation | None
     countermodel: CountermodelReport | None
-    _closure: tuple[_Query, dict[_Key, int]] | None
+    _closure: tuple[_Query, dict[_Key, int] | None] | None
 
     def __init__(
         self,
         verdict: Verdict,
         derivation: Derivation | None = None,
         countermodel: CountermodelReport | None = None,
-        _closure: tuple[_Query, dict[_Key, int]] | None = None,
+        _closure: tuple[_Query, dict[_Key, int] | None] | None = None,
     ) -> None:
         _set(self, "verdict", verdict)
         _set(self, "derivation", derivation)
@@ -134,6 +137,10 @@ class Entailment(Value):
         if self._closure is None:
             return None
         query, best = self._closure
+        if best is None:
+            sat = _seeded(query)
+            sat.run()
+            best = sat.best
         names = query.names
         return frozenset(NormalAtom(names(p), names(r), k) for (p, r), k in best.items())
 
@@ -240,7 +247,11 @@ _Key = tuple[int, int]
 _Triple = tuple[int, int, int]
 
 
-MAX_SATURATION_STEPS = 100_000  # a longer saturation raises ResourceError
+# A longer saturation raises ResourceError.  The budget bounds each run on
+# its own: the run that answers, which stops at the goal, and the full run
+# that a first read of ``Entailment.saturated`` makes when the answering run
+# did not complete.  So an answer may come back, and the read then raise.
+MAX_SATURATION_STEPS = 100_000
 
 
 class _Saturation:
@@ -251,8 +262,9 @@ class _Saturation:
     # never set iteration order; so the proof found does not depend on
     # string hashing (PYTHONHASHSEED).  Names come back only through
     # ``query.names``, for the proof tree and the saturated set.  An
-    # ``Entailment`` keeps the query and ``best``; the proofs, queue and
-    # indices live here, so they are freed once the answer is built.
+    # ``Entailment`` keeps the query, and ``best`` when the run completed;
+    # the proofs, queue and indices live here, so they are freed once the
+    # answer is built.
     def __init__(self, query: _Query):
         self.query = query
         self.cap = query.goal.k
@@ -276,12 +288,20 @@ class _Saturation:
         self.by_published.setdefault(pub, {})[key] = None
         self.by_closure.setdefault(pub | prot, {})[key] = None
 
-    def run(self) -> None:
+    def run(self, goal: _Key | None = None) -> None:
+        """Saturate, or with a ``goal`` key stop once it reaches the cap.
+
+        Stopping early leaves the goal's tree as a full run finds it:
+        ``offer`` writes a triple's proof only when ``best`` rises to it
+        and ``best`` never falls, so each proof is written once, and the
+        capped goal key takes no later rise.
+        """
         best, queue, offer = self.best, self.queue, self.offer
         by_published, by_closure = self.by_published, self.by_closure
         bits = [1 << i for i in range(len(self.query.attrs))]
         max_steps = MAX_SATURATION_STEPS
-        while queue:
+        cap = self.cap  # at least 2, and ``best`` has no key None: a full run empties the queue
+        while queue and best.get(goal, 0) < cap:
             self.steps += 1
             if self.steps > max_steps:
                 raise ResourceError(
@@ -330,11 +350,26 @@ class _Saturation:
         return node
 
 
+def _seeded(query: _Query) -> _Saturation:
+    """A saturation seeded with the hypotheses of k > 1."""
+    sat = _Saturation(query)
+    for hyp, (published, protected, k) in query.hyps:
+        if k > 1:
+            sat.offer((published, protected), k, ("hyp", hyp))
+    return sat
+
+
 def entails_k_saturate(sigma: AtomSet, goal: Atom) -> Entailment:
     """Sound saturation for arbitrary k-atoms: Derivable with a proof tree
-    when the closure reaches the goal, otherwise Unknown.  Either way the
-    answer's ``saturated`` set, built on first read, is the closure reached.
-    Never claims NotDerivable.
+    when the closure reaches the goal, otherwise Unknown.  Never claims
+    NotDerivable.
+
+    Only the work the verdict needs is done.  The run stops once the goal
+    is reached.  A goal whose published side lies inside no seeding
+    hypothesis's published side is Unknown without a run: weakening only
+    shrinks a published side and composition keeps its first link's, so
+    no closure atom publishes outside a seed's.  Either way the answer's
+    ``saturated`` set is the whole closure, computed on first read.
 
     Goals with k = 1 are settled up front and no ``Y1`` atom, not even a
     hypothesis, enters the closure: composing with a ``Y1`` link reaches
@@ -350,14 +385,12 @@ def entails_k_saturate(sigma: AtomSet, goal: Atom) -> Entailment:
     if settled is not None:
         return settled
 
-    sat = _Saturation(query)
-    for hyp, (published, protected, k) in query.hyps:
-        if k > 1:
-            sat.offer((published, protected), k, ("hyp", hyp))
-    sat.run()
-
     key = query.goal_form[:2]
-    closure = (query, sat.best)
+    if not any(k > 1 and not key[0] & ~p for _, (p, _, k) in query.hyps):
+        return Entailment(Verdict.UNKNOWN, _closure=(query, None))
+    sat = _seeded(query)
+    sat.run(key)
+    closure = (query, None if sat.queue else sat.best)
     if sat.best.get(key, 0) >= goal.k:
         node = _restate(sat.rebuild((*key, sat.best[key])), goal)
         return Entailment(Verdict.DERIVABLE, derivation=node, _closure=closure)

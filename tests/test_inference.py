@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -382,6 +383,15 @@ def _normal(pub, prot, k):
     return NormalAtom(frozenset(pub), frozenset(prot), k)
 
 
+def _count_runs(monkeypatch):
+    """A list that gets one entry per ``_Saturation.run`` call."""
+    runs = []
+    run = inference._Saturation.run
+    monkeypatch.setattr(inference._Saturation, "run",
+                        lambda self, *goal: runs.append(goal) or run(self, *goal))
+    return runs
+
+
 class TestSaturatedSet:
     # x Y3 y, xy Y z |- x Y6 yz: the whole closure, captured from the
     # eager implementation that built the set on every call
@@ -408,13 +418,19 @@ class TestSaturatedSet:
         names = _Query.names
         monkeypatch.setattr(_Query, "names",
                             lambda self, mask: calls.append(mask) or names(self, mask))
+        runs = _count_runs(monkeypatch)
         result = entails_k_saturate(self.SIGMA, goal)
         before = len(calls)
         assert bool(before) == tree_calls
+        # the tree comes from a run that stopped at the goal; the Unknown is
+        # settled up front (no hypothesis publishes z), with no run at all
+        assert len(runs) == int(tree_calls)
         saturated = result.saturated  # two names per atom, on this read only
         assert len(calls) - before == 2 * len(saturated)
+        assert len(runs) == int(tree_calls) + 1  # the first read runs in full once
         assert result.saturated is saturated  # kept: the second read builds nothing
         assert len(calls) - before == 2 * len(saturated)
+        assert len(runs) == int(tree_calls) + 1
 
     @pytest.mark.parametrize("engine, sigma, goal", [
         (entails_anonymity, AtomSet.of(atom("xy", "z")), atom("x", "z")),
@@ -427,6 +443,129 @@ class TestSaturatedSet:
     ])
     def test_no_closure_gives_none(self, engine, sigma, goal):
         assert engine(sigma, goal).saturated is None
+
+
+def _general_instance(rng, n_attrs, variant):
+    """A k-atom instance in the shape of the benchmark's general instances:
+    four hypotheses that each publish two attributes and protect two, with
+    k 2 or 3; even variants weaken a planted two-link chain, odd variants
+    draw the goal at random."""
+    names = [f"a{i}" for i in range(n_attrs)]
+    hyps = []
+    for j in range(4):
+        picked = rng.sample(names, 4)
+        hyps.append(Atom(tuple(picked[:2]), tuple(picked[2:]), 2 + j % 2))
+    if variant % 2 == 0:
+        first = hyps[0]
+        rest = [a for a in names if a not in first.published + first.protected]
+        second = tuple(rng.sample(rest, min(2, len(rest))))
+        hyps[1] = Atom(first.published + first.protected, second, 2)
+        k = 2 * first.k if variant % 4 == 0 else 3
+        goal = Atom(first.published[:1], first.protected + second, k)
+    else:
+        picked = rng.sample(names, 4)
+        goal = Atom(tuple(picked[:2]), tuple(picked[2:]), 3 + variant // 2 % 2)
+    return AtomSet(tuple(hyps), frozenset(names)), goal
+
+
+def _eager(sigma, goal):
+    """The eager reference: seed, run to completion, then look at the goal.
+    Gives the verdict, the tree as a dict, the closure as normal atoms, and
+    the query and its ``best``."""
+    query = _Query(sigma, goal)
+    sat = inference._Saturation(query)
+    for hyp, (published, protected, k) in query.hyps:
+        if k > 1:
+            sat.offer((published, protected), k, ("hyp", hyp))
+    sat.run()
+    closure = frozenset(NormalAtom(query.names(p), query.names(r), k)
+                        for (p, r), k in sat.best.items())
+    key = query.goal_form[:2]
+    if sat.best.get(key, 0) >= goal.k:
+        tree = inference._restate(sat.rebuild((*key, sat.best[key])), goal).to_dict()
+        return Verdict.DERIVABLE, tree, closure, query, sat.best
+    return Verdict.UNKNOWN, None, closure, query, sat.best
+
+
+def _differential_sample():
+    rng = random.Random(2025)
+    sample = [_general_instance(rng, n, i) for n in (5, 6, 7, 8) for i in range(24)]
+    return sample + [tuple(p.values[:2]) for p in _PINNED_SATURATIONS]
+
+
+class TestGoalDirectedSaturation:
+    SAMPLE = _differential_sample()
+
+    def test_agrees_with_the_eager_reference(self, monkeypatch):
+        runs = _count_runs(monkeypatch)
+        classes = set()
+        for sigma, goal in self.SAMPLE:
+            verdict, tree, closure, _, _ = _eager(sigma, goal)
+            runs.clear()
+            result = entails_k_saturate(sigma, goal)
+            answering_runs = len(runs)
+            assert result.verdict is verdict, (sigma.atoms, goal)
+            got_tree = None if result.derivation is None else result.derivation.to_dict()
+            assert got_tree == tree, (sigma.atoms, goal)
+            assert result.saturated == closure, (sigma.atoms, goal)
+            if verdict is Verdict.DERIVABLE:
+                assert verify_derivation(result.derivation, sigma)
+                classes.add("derivable")
+            elif answering_runs == 0:
+                classes.add("unknown up front")
+            else:
+                assert len(runs) == answering_runs  # the read reused the full run
+                classes.add("unknown after a full run")
+        assert classes == {"derivable", "unknown up front", "unknown after a full run"}
+
+    def test_multiplicity_one_hypotheses_seed_nothing(self, monkeypatch):
+        # z Y1 x publishes the goal's z, but no Y1 atom enters the closure,
+        # so the goal is still settled up front
+        runs = _count_runs(monkeypatch)
+        sigma = AtomSet.of(atom("x", "y", 3), atom("z", "x", 1))
+        result = entails_k_saturate(sigma, atom("z", "y", 3))
+        assert result.verdict is Verdict.UNKNOWN and not runs
+        assert result.saturated == _eager(sigma, atom("z", "y", 3))[2]
+
+    def test_closure_publishes_inside_some_seed(self):
+        # weakening shrinks a published side and composition keeps its first
+        # link's, so every closure key publishes inside a seed's published side
+        for sigma, goal in self.SAMPLE:
+            _, _, _, query, best = _eager(sigma, goal)
+            seeds = [p for _, (p, _, k) in query.hyps if k > 1]
+            for published, _ in best:
+                assert any(not published & ~seed for seed in seeds), (sigma.atoms, goal)
+
+
+class TestSaturationBudget:
+    # composition-6 reaches its goal in 2 steps; its full closure takes 180
+    SIGMA = AtomSet.of(atom("ab", "cd"), atom("abcd", "e", 3), extra_attributes="f")
+    BUDGET = 10
+
+    def test_goal_before_the_budget_answers_and_the_read_raises(self, monkeypatch):
+        monkeypatch.setattr(inference, "MAX_SATURATION_STEPS", self.BUDGET)
+        result = entails_k_saturate(self.SIGMA, atom("a", "cde", 6))
+        assert result.verdict is Verdict.DERIVABLE
+        assert result.derivation.to_dict() == _PINNED_SATURATIONS[0].values[3]
+        with pytest.raises(ResourceError, match="budget"):
+            result.saturated
+
+    def test_unknown_up_front_raises_only_on_read(self, monkeypatch):
+        monkeypatch.setattr(inference, "MAX_SATURATION_STEPS", self.BUDGET)
+        result = entails_k_saturate(self.SIGMA, atom("f", "a", 3))  # f is published by no hypothesis
+        assert result.verdict is Verdict.UNKNOWN
+        with pytest.raises(ResourceError, match="budget"):
+            result.saturated
+
+    def test_cli_exits_two_on_an_unknown_past_the_budget(self, monkeypatch, tmp_path, capsys):
+        from anonatom.cli import main
+
+        monkeypatch.setattr(inference, "MAX_SATURATION_STEPS", self.BUDGET)
+        path = tmp_path / "sigma.txt"
+        path.write_text("a b Y c d\na b c d Y3 e\n", encoding="utf-8")
+        code = main(["entail", "--sigma", str(path), "--goal", "f Y3 a", "--mode", "k-saturate"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "ResourceError"
 
 
 class TestVerifyDerivation:
