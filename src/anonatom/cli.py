@@ -348,8 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = command("oracle", help="brute-force semantic entailment over small domains")
     oracle.add_argument("--sigma", required=True)
     oracle.add_argument("--goal", required=True)
-    oracle.add_argument("--attrs", type=int, default=4, help="attribute limit (at most 4)")
-    oracle.add_argument("--domain-size", type=int, default=2, choices=(2, 3))
+    oracle.add_argument("--attrs", type=int, default=4,
+                        help="attribute limit (at most 4); n attributes give a grid of D^n rows")
+    oracle.add_argument("--domain-size", type=int, default=2, choices=(2, 3),
+                        help="D; exhaustive mode decides all 2^rows teams, in 2^16 fixpoints")
     oracle.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     oracle.add_argument("--samples", type=int, default=1000)
     oracle.add_argument("--seed", type=int, default=0)

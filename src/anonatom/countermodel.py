@@ -37,13 +37,14 @@ at most ``GRID_SPACE_DOMAIN`` values, so at most 81 rows) are built once
 per shape and kept, with a memo of ``satisfies`` verdicts on them keyed
 by the atom's form, k clamped to the grid's rows + 1, so the engines and
 the oracle build each small grid once and check each atom shape on it
-once.  The oracle keeps its bitmaps over the teams of a full grid on
-that grid's entry (``_Grid.lattice``), so this is the one process-wide
+once.  The oracle keeps the group masks of its search over a full grid
+on that grid's entry (``_Grid.groups``), so this is the one process-wide
 grid cache.  It is bounded by that grid space: a few hundred shapes,
-each with at most 3^4 atom sides times 82 multiplicities.  Larger grids
-are built and checked on every call.  Each team still carries the
-instance's own attribute names, and ``verify_countermodel`` always runs
-the checkers on the team itself.
+each with verdicts for at most 3^4 atom sides times 82 multiplicities,
+and group masks for at most 3^4 atom sides.  Larger grids are built and
+checked on every call.  Each team still carries the instance's own
+attribute names, and ``verify_countermodel`` always runs the checkers on
+the team itself.
 """
 
 from __future__ import annotations
@@ -140,14 +141,15 @@ class _Grid:
     """The rows of one grid shape, over tokens and sorted attribute positions,
     with the ``satisfies`` verdict of each atom form checked on them.
 
-    ``lattice`` is free for the oracle's bitmaps over the teams of a full
-    grid; it stays None until the oracle enumerates this grid."""
+    ``groups`` is free for the oracle's group masks over the rows of a
+    full grid, one entry per atom side it searches; it stays None until
+    the oracle searches this grid."""
 
     def __init__(self, rows: frozenset[Row]):
         self.rows = rows
         self.most = len(rows) + 1  # no group of these rows shows more values
         self.schema: Schema | None = None  # the last caller's, already validated
-        self.lattice: object | None = None
+        self.groups: dict | None = None
         self._verdicts: dict[_Form, bool] = {}
 
     def clamp(self, form: _Form) -> _Form:

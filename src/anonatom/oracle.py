@@ -1,28 +1,30 @@
 """Brute-force semantic entailment and reproducible random teams.
 
-``semantic_entails`` decides entailment the slow, trustworthy way: it
-first tries the explicit countermodel constructions, whose builders
-verify their output, and returns the first one built as the refuter
-(they are complete refuters on their fragments, which matters because
-some non-entailed claims have no refuter over a two-valued domain);
-otherwise it checks every team over a small value domain or samples
-some.  The candidates come from ``countermodel``'s shape cache: every
-grid inside the oracle's grid space (at most 4 attributes over at most 3
-values) is built once per shape and each atom shape is checked on it
-once, whichever engine or oracle call asks first, so an entailed
-instance costs a few memo reads before the enumeration.  The first grid
-is checked without subsumption, which only stops a truncated grid from
-growing; a candidate is returned only when its builder's check says it
-refutes.  A call puts the question in normal form once
-(``query._Query``), and the candidates, the shape cache and the bitmaps
-all read that form.
+``semantic_entails`` first tries the explicit countermodel constructions,
+whose builders verify their output: they are complete refuters on their
+fragments, and some non-entailed claims have no refuter over a two-valued
+domain.  They read ``countermodel``'s shape cache, so an entailed instance
+costs a few memo reads before the search.  Otherwise it decides every
+team over a small value domain or samples some.  A call puts the question
+in normal form once (``query._Query``), and all that follows reads it.
 
-Exhaustive mode enumerates the teams over the full grid of the shape
-cache, the grid the full-grid construction uses at that domain, and
-builds no team to check them: each grid row's bitmap (one bit per
-team) repeats a byte pattern, each atom's combines those of the rows
-(``_Lattice``, kept on the grid's cache entry), and the lowest set bit of
-the refuting bitmap names the one team it builds, the refuter.
+Exhaustive mode decides the 2^g teams over the full grid G of g rows by a
+greatest fixpoint over its rows, and builds no team but the refuter.
+Anonymity atoms are closed under union, so the subteams of U that satisfy
+the hypotheses have a largest member L(U), their union: ``_largest``
+deletes every published group showing 1..k-1 protected values for some
+hypothesis until none does.  A team refutes ``x Yk y`` iff it satisfies
+them and its group x = a shows a set S of 1..k-1 protected tuples, so the
+goal is refuted iff for some a and some S of min(k-1, |Y|) of its |Y|
+tuples a row with x = a survives in L(G - {x = a, y not in S}); a goal
+protecting nothing (|Y| = 1) iff L(G) is non-empty.  G, the atoms and the
+goal are invariant under permuting each attribute's values on its own,
+which fixes a = 0...0 and 0...0 in S: C(|Y|-1, min(k-1, |Y|)-1)
+fixpoints, one for k = 2, counted against ``MAX_FIXPOINTS`` before the
+first runs.  The refuter is L itself for the first S in sorted order, the
+largest refuting subteam whose zero group shows only S.  The group masks
+of each atom side are kept on G's cache entry (``_Grid.groups``,
+``_GroupMasks``).
 
 Exhaustive mode answers ENTAILED or REFUTED; random mode answers
 REFUTED or UNKNOWN, never ENTAILED.  For instances mentioning
@@ -33,7 +35,7 @@ unless the domain exceeds the largest multiplicity mentioned.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import itertools
 from enum import Enum
 from typing import Sequence
 
@@ -42,16 +44,15 @@ from .atoms import Atom
 from .countermodel import (
     GRID_SPACE_ATTRIBUTES, GRID_SPACE_DOMAIN, _candidates, _Grid, _grid, _refutes,
 )
-from .errors import ConfigError
-from .query import AtomSet, _Form, _Query
-from .team import Schema, Team
+from .errors import ConfigError, ResourceError
+from .query import AtomSet, _Query
+from .team import Row, Schema, Team
 
 EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
 
-# The full team lattice over a grid of g assignments has 2^g members;
-# exhaustive mode is limited to lattices of at most 2^16 teams.
-_MAX_GRID = 16
+# The fixpoints one exhaustive search may run, counted before the first.
+MAX_FIXPOINTS = 1 << 16
 
 
 class OracleConfig(Value):
@@ -85,11 +86,6 @@ class OracleConfig(Value):
             raise ConfigError(
                 f"attribute_limit must be between 1 and {GRID_SPACE_ATTRIBUTES}, "
                 f"got {self.attribute_limit}"
-            )
-        if self.mode == EXHAUSTIVE and self.domain_size**self.attribute_limit > _MAX_GRID:
-            raise ConfigError(
-                f"exhaustive mode over {self.attribute_limit} attributes and "
-                f"{self.domain_size} values exceeds the 2^{_MAX_GRID}-team limit"
             )
         if self.samples < 0:
             raise ConfigError("samples must be non-negative")
@@ -133,83 +129,79 @@ def random_team(
     return Team(schema, frozenset(rows))
 
 
-class _Lattice:
-    """Satisfaction bitmaps over the teams of one full grid, computed from
-    its rows.
-
-    The rows are the grid's in sorted order, which for one-digit tokens is
-    ``itertools.product`` order.  Team i selects row j iff bit j of i is
-    set, so a bitmap has one bit per team (2^g bits for g rows) and the
-    lowest refuting index is also the canonical first refuter.  No team is
-    built to fill a bitmap:
-
-    * ``R_j``, the teams containing row j, is the periodic pattern of 2^j
-      clear bits then 2^j set bits: 2^(j-3) zero bytes then as many
-      ``0xff`` bytes, or for j < 3 one byte, ``0xaa``, ``0xcc`` or ``0xf0``.
-    * A team satisfies ``x Yk y`` iff every published-key group of grid
-      rows shows 0 or at least k distinct protected values among the rows
-      it selects.  Per group, the OR of the ``R_j`` of the rows carrying
-      one protected value is the set of teams showing that value; an
-      at-least-t counter over those masks, t = 1..k, gives the teams
-      showing at least k of them, and the group's mask is
-      ``not (>= 1) or (>= k)``.
-    * The atom's mask is the AND over groups; k = 1 gives every team.
-
-    Masks are keyed by the atom's form over the sorted attributes
-    (``query._Query``), clamped by the grid (``_Grid.clamp``), so keys
-    over one shape are finite: 3^arity sides times g + 1 multiplicities.
-    """
+class _GroupMasks(dict):
+    """The groups of each atom side ``(published, protected)`` over a full
+    grid, built on first read: per published key in sorted order, the
+    group's row mask and the row masks of its protected values in sorted
+    order.  Bit j of a mask stands for ``rows[j]``, the grid's j-th row in
+    sorted order, so the first group's first value holds the all-zero row."""
 
     def __init__(self, grid: _Grid):
-        self.grid = grid
+        super().__init__()
         self.rows = sorted(grid.rows)
-        self.count = 1 << len(self.rows)
-        self.every_team = (1 << self.count) - 1
-        self._containing = [self._teams_containing(j) for j in range(len(self.rows))]
-        self._masks: dict[_Form, int] = {}
 
-    def _teams_containing(self, row: int) -> int:
-        """``R_row`` from its period as bytes, least significant first; the
-        mask trims the one byte of a lattice of fewer than 8 teams."""
-        half = 1 << row >> 3  # bytes in half a period, 0 below row 3
-        period = bytes(half) + b"\xff" * half if half else b"\xaa\xcc\xf0"[row : row + 1]
-        repeats = max(self.count >> 3, 1) // len(period)
-        return int.from_bytes(period * repeats, "little") & self.every_team
+    def __missing__(self, side: tuple[int, int]) -> list[tuple[int, tuple[int, ...]]]:
+        published, protected = side
+        by_key: dict[Row, dict[Row, int]] = {}
+        for j, row in enumerate(self.rows):
+            key = tuple(v for i, v in enumerate(row) if published >> i & 1)
+            values = by_key.setdefault(key, {})
+            value = tuple(v for i, v in enumerate(row) if protected >> i & 1)
+            values[value] = values.get(value, 0) | 1 << j
+        groups = self[side] = [(sum(v.values()), tuple(v.values())) for v in by_key.values()]
+        return groups
 
-    def mask(self, form: _Form) -> int:
-        """The teams satisfying an atom of ``form`` over the grid's
-        attribute positions."""
-        form = self.grid.clamp(form)
-        cached = self._masks.get(form)
-        if cached is None:
-            cached = self._masks[form] = self._build(*form)
-        return cached
 
-    def _build(self, published_mask: int, protected_mask: int, k: int) -> int:
-        published = [i for i in range(published_mask.bit_length()) if published_mask >> i & 1]
-        protected = [i for i in range(protected_mask.bit_length()) if protected_mask >> i & 1]
-        groups: dict[tuple[str, ...], dict[tuple[str, ...], int]] = defaultdict(dict)
-        for row, containing in zip(self.rows, self._containing):
-            values = groups[tuple(row[i] for i in published)]
-            value = tuple(row[i] for i in protected)
-            values[value] = values.get(value, 0) | containing
-        mask = self.every_team
-        for values in groups.values():
-            at_least = [self.every_team] + [0] * k  # at_least[t]: teams showing >= t values
-            for showing in values.values():
-                for t in range(k, 0, -1):
-                    at_least[t] |= at_least[t - 1] & showing
-            mask &= ~at_least[1] | at_least[k]
-        return mask
+def _largest(rows: int, query: _Query, masks: _GroupMasks, watch: int) -> int:
+    """L(rows), the largest subteam of ``rows`` satisfying every hypothesis
+    of ``query``, by greatest fixpoint over the groups of ``masks``; 0 as
+    soon as no row of ``watch`` is left."""
+    while True:
+        kept = rows
+        for _, (published, protected, k) in query.hyps:
+            if k > 1:  # k = 1 holds on every team
+                for group, values in masks[published, protected]:
+                    if kept & group and len([v for v in values if kept & v]) < k:
+                        kept &= ~group
+                        if not kept & watch:
+                            return 0
+        if kept == rows:
+            return rows
+        rows = kept
 
-    def team(self, attributes: tuple[str, ...], index: int) -> Team:
-        """Team ``index`` of the lattice, with ``attributes`` as its schema."""
-        rows = frozenset(row for j, row in enumerate(self.rows) if index >> j & 1)
-        return self.grid.team(attributes, rows)
+
+def _refuting(query: _Query, grid: _Grid) -> frozenset[Row] | None:
+    """The rows of the canonical refuter over the full ``grid``, or None if
+    no subteam refutes; ResourceError past ``MAX_FIXPOINTS``."""
+    published, protected, k = query.goal_form
+    if k < 2:  # holds on every team
+        return None
+    masks = grid.groups
+    if masks is None:
+        masks = grid.groups = _GroupMasks(grid)
+    zero_group, values = masks[published, protected][0]  # values[0] holds 0...0
+    picks = min(k - 1, len(values)) - 1  # members of S besides 0...0
+    if 0 < picks < len(values) - 1:
+        from math import comb  # deferred: k = 2 takes one fixpoint
+
+        if comb(len(values) - 1, picks) > MAX_FIXPOINTS:
+            raise ResourceError(
+                f"the goal needs C({len(values) - 1}, {picks}) fixpoints over "
+                f"{len(masks.rows)} rows; cap is {MAX_FIXPOINTS}"
+            )
+    rest = (1 << len(masks.rows)) - 1 & ~zero_group
+    for chosen in itertools.combinations(values[1:], picks):
+        shown = sum(chosen, values[0])  # the rows of S: value masks are disjoint
+        kept = _largest(rest | shown, query, masks, zero_group)
+        if kept:
+            return frozenset(row for j, row in enumerate(masks.rows) if kept >> j & 1)
+    return None
 
 
 def semantic_entails(sigma: AtomSet, goal: Atom, cfg: OracleConfig) -> OracleResult:
-    """Search for a team satisfying the hypotheses but not the goal."""
+    """Search for a team satisfying the hypotheses but not the goal; in
+    exhaustive mode ``teams_checked`` counts the 2^g teams decided over the
+    g grid rows, and ResourceError comes past ``MAX_FIXPOINTS``."""
     query = _Query(sigma, goal)
     attrs = query.attrs
     if len(attrs) > cfg.attribute_limit:
@@ -221,22 +213,16 @@ def semantic_entails(sigma: AtomSet, goal: Atom, cfg: OracleConfig) -> OracleRes
     if candidate is not None:  # verified by its builder: it refutes
         return OracleResult(OracleStatus.REFUTED, candidate[1], 1)
 
-    if cfg.mode == EXHAUSTIVE:  # the config keeps the grid within _MAX_GRID rows
+    if cfg.mode == EXHAUSTIVE:
         grid = _grid(len(attrs), cfg.domain_size)
-        lattice = grid.lattice
-        if lattice is None:
-            lattice = grid.lattice = _Lattice(grid)
-        sigma_mask = lattice.every_team
-        for _, form in query.hyps:
-            sigma_mask &= lattice.mask(form)
-        refuting = sigma_mask & ~lattice.mask(query.goal_form)
-        if refuting:
-            index = (refuting & -refuting).bit_length() - 1
-            return OracleResult(OracleStatus.REFUTED, lattice.team(attrs, index), lattice.count)
+        teams = 1 << len(grid.rows)  # every subteam is decided
+        rows = _refuting(query, grid)
+        if rows is not None:
+            return OracleResult(OracleStatus.REFUTED, grid.team(attrs, rows), teams)
         largest = max((a.k for a in (*sigma.atoms, goal)), default=2)
         if largest > 2 and cfg.domain_size < largest + 1:
-            return OracleResult(OracleStatus.UNKNOWN, None, lattice.count)
-        return OracleResult(OracleStatus.ENTAILED, None, lattice.count)
+            return OracleResult(OracleStatus.UNKNOWN, None, teams)
+        return OracleResult(OracleStatus.ENTAILED, None, teams)
 
     import random
 

@@ -414,11 +414,36 @@ class TestOracle:
 
     def test_config_error(self, capsys, chain_sigma):
         code, doc = run_json(
-            capsys, "oracle", "--sigma", chain_sigma, "--goal", "x Y z",
-            "--attrs", "4", "--domain-size", "3",
+            capsys, "oracle", "--sigma", chain_sigma, "--goal", "x Y z", "--attrs", "5",
         )
         assert code == 2
         assert doc["error"]["kind"] == "ConfigError"
+
+    def test_three_values_over_four_attributes(self, capsys, tmp_path):
+        # 81 rows, 2^81 teams: a plain goal is decided, a k = 3 goal stays
+        # unknown, since three values do not exceed its multiplicity
+        sigma_path = tmp_path / "s.txt"
+        for line, goal, code, status in (
+            ("x y Y z u", "x Y z u", 0, "entailed"), ("x y Y3 z u", "x Y3 z u", 3, "unknown"),
+        ):
+            sigma_path.write_text(line + "\n", encoding="utf-8")
+            assert run_json(
+                capsys, "oracle", "--sigma", str(sigma_path), "--goal", goal, "--domain-size", "3"
+            ) == (code, _report("oracle", mode="exhaustive", sigma=[line], goal=goal,
+                                status=status, teams_checked=2**81))
+
+    def test_fixpoint_budget(self, capsys, tmp_path):
+        # S holds 13 of the 27 bcd tuples: C(26, 12) fixpoints, past 2^16
+        sigma_path = tmp_path / "empty.txt"
+        sigma_path.write_text("", encoding="utf-8")
+        code, doc = run_json(
+            capsys, "oracle", "--sigma", str(sigma_path), "--goal", "a Y14 b c d",
+            "--attrs", "4", "--domain-size", "3",
+        )
+        assert code == 2
+        assert doc["error"] == {"kind": "ResourceError", "message": (
+            "the goal needs C(26, 12) fixpoints over 81 rows; cap is 65536"
+        )}
 
 
 class TestErrorRecords:

@@ -9,6 +9,10 @@ tree (``to_dict``) and countermodel (schema, sorted rows, construction,
 domain size), every team of ``candidate_teams``, and the oracle's status,
 refuter and ``teams_checked``.  A change that alters any of them on
 purpose updates ``EXPECTED`` and says so in ``CHANGES.md``.
+
+``EXPECTED_VERDICTS`` is the digest of the same outputs with each oracle
+refuter replaced by whether it refutes, so a change that only picks other
+refuters leaves it as it is.
 """
 
 import hashlib
@@ -25,10 +29,11 @@ from anonatom import (
     entails_k_simple,
     semantic_entails,
 )
-from anonatom.countermodel import candidate_teams
+from anonatom.countermodel import _refutes, candidate_teams
 from conftest import all_normal_shapes
 
-EXPECTED = "a1ffedde9564ce7f2c5888447a7806252892b8c495c7359d3e1e9c905a6a9d6d"
+EXPECTED = "ea0eac4da1c5325eef58650354d0d9e9f42aa478c974ca5c5f6e3bf81c2c3c6f"
+EXPECTED_VERDICTS = "ef462e715b49d8674927117efc610f11f9c366638bfde0953e505e06e072719b"
 
 
 def _team(team):
@@ -36,19 +41,27 @@ def _team(team):
 
 
 def _outputs(sigma, goal, engine, configs):
+    """Each output as the two digests read it: in full, and with the
+    oracle's refuter replaced by whether it refutes."""
     result = engine(sigma, goal)
     report = result.countermodel
     saturated = None if result.saturated is None else len(result.saturated)
-    yield [
+    verdict = [
         result.verdict.value,
         None if result.derivation is None else result.derivation.to_dict(),
         None if report is None else [_team(report.team), report.construction, report.domain_size],
         saturated,
     ]
-    yield [[name, _team(team)] for name, team in candidate_teams(sigma, goal)]
+    yield verdict, verdict
+    candidates = [[name, _team(team)] for name, team in candidate_teams(sigma, goal)]
+    yield candidates, candidates
     for cfg in configs:
         oracle = semantic_entails(sigma, goal, cfg)
-        yield [oracle.status.value, _team(oracle.refuter), oracle.teams_checked]
+        team = oracle.refuter
+        yield (
+            [oracle.status.value, _team(team), oracle.teams_checked],
+            [oracle.status.value, team is not None and _refutes(team, sigma, goal), oracle.teams_checked],
+        )
 
 
 def _sweep_instances():
@@ -79,12 +92,13 @@ def _random_instances(rng, count):
 
 
 def test_outputs_match_the_pinned_digest():
-    digest = hashlib.sha256()
+    full, verdicts = hashlib.sha256(), hashlib.sha256()
 
-    def add(parts):
-        for part in parts:
-            digest.update(json.dumps(part).encode())
-            digest.update(b"\n")
+    def add(outputs):
+        for parts in outputs:
+            for digest, part in zip((full, verdicts), parts):
+                digest.update(json.dumps(part).encode())
+                digest.update(b"\n")
 
     sweep = OracleConfig(domain_size=2, attribute_limit=3)
     for sigma, goal in _sweep_instances():
@@ -96,4 +110,4 @@ def test_outputs_match_the_pinned_digest():
             OracleConfig(mode="random", samples=8, seed=rng.randrange(100)),
         ]
         add(_outputs(sigma, goal, entails_k_simple if simple else entails_k_saturate, configs))
-    assert digest.hexdigest() == EXPECTED
+    assert (full.hexdigest(), verdicts.hexdigest()) == (EXPECTED, EXPECTED_VERDICTS)

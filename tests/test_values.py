@@ -257,8 +257,6 @@ def test_entailment_equality_ignores_the_closure():
     (lambda: OracleConfig(domain_size=4), ConfigError, "domain_size must be 2 or 3, got 4"),
     (lambda: OracleConfig(attribute_limit=5), ConfigError,
      "attribute_limit must be between 1 and 4, got 5"),
-    (lambda: OracleConfig(domain_size=3, attribute_limit=4), ConfigError,
-     "exhaustive mode over 4 attributes and 3 values exceeds the 2^16-team limit"),
     (lambda: OracleConfig(samples=-1), ConfigError, "samples must be non-negative"),
 ])
 def test_validation_errors_are_unchanged(build, error, message):
