@@ -16,7 +16,7 @@ _EXPORTS = {
     ), "atoms"),
     **dict.fromkeys((
         "CountermodelReport", "build_anonymity_countermodel", "build_full_grid_countermodel",
-        "build_k_anonymity_countermodel", "verify_countermodel", "witness_report",
+        "build_k_anonymity_countermodel", "verify_countermodel",
     ), "countermodel"),
     **dict.fromkeys((
         "AnonatomError", "ArityError", "ConfigError", "DomainError", "FragmentError",
@@ -27,7 +27,7 @@ _EXPORTS = {
         "entails_k_saturate", "is_inconsistent", "verify_derivation",
     ), "inference"),
     **dict.fromkeys((
-        "OracleConfig", "OracleResult", "OracleStatus", "random_team", "semantic_entails",
+        "OracleConfig", "OracleResult", "OracleStatus", "semantic_entails",
     ), "oracle"),
     **dict.fromkeys((
         "format_atom", "format_sigma", "load_sigma_file", "parse_atom", "parse_sigma",

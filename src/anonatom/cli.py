@@ -267,16 +267,9 @@ def _cmd_oracle(args) -> _Report:
 
     sigma = load_sigma_file(args.sigma)
     goal = parse_atom(args.goal)
-    cfg = OracleConfig(
-        domain_size=args.domain_size,
-        attribute_limit=args.attrs,
-        mode=args.mode,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    cfg = OracleConfig(domain_size=args.domain_size, attribute_limit=args.attrs)
     result = semantic_entails(sigma, goal, cfg)
     document = {
-        "mode": args.mode,
         "sigma": [format_atom(a) for a in sigma.atoms],
         "goal": args.goal.strip(),
         "status": result.status.value,
@@ -351,10 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--attrs", type=int, default=4,
                         help="attribute limit (at most 4); n attributes give a grid of D^n rows")
     oracle.add_argument("--domain-size", type=int, default=2, choices=(2, 3),
-                        help="D; exhaustive mode decides all 2^rows teams, in 2^16 fixpoints")
-    oracle.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-    oracle.add_argument("--samples", type=int, default=1000)
-    oracle.add_argument("--seed", type=int, default=0)
+                        help="D; the search decides all 2^rows teams in at most 2^16 "
+                        "fixpoints, or descends past that")
     oracle.add_argument("--refuter-out", help="write the refuting team as CSV")
     oracle.set_defaults(func=_cmd_oracle)
 

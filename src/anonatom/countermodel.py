@@ -50,7 +50,7 @@ the team itself.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator
+from typing import Iterator
 
 from ._value import Value, _set
 from .atoms import Atom, satisfies
@@ -61,7 +61,6 @@ from .team import Row, Schema, Team
 CONSTRUCTION_TERNARY = "ternary-grid"
 CONSTRUCTION_TRUNCATED = "truncated-grid"
 CONSTRUCTION_FULL = "full-grid"
-CONSTRUCTION_WITNESS = "explicit-witness"
 
 # The oracle's grid space, the bounds of ``OracleConfig``: at most this many
 # attributes over at most this many values.  Only grids inside it are cached.
@@ -108,18 +107,15 @@ def _refutes(team: Team, sigma: AtomSet, goal: Atom) -> bool:
     return all(satisfies(team, hyp) for hyp in sigma.atoms) and not satisfies(team, goal)
 
 
-_Holds = Callable[[Team, Atom, _Form], bool]
-
-
 def _report(
-    team: Team, holds: _Holds, query: _Query, domain_size: int, construction: str
+    grid: _Grid, query: _Query, domain_size: int, construction: str
 ) -> CountermodelReport | None:
-    """The report for ``team`` if it satisfies the query's hypotheses and
-    fails its goal, as ``holds`` (``satisfies`` or a grid's memo of it)
-    tells."""
-    goal = query.goal
-    satisfied = all(holds(team, hyp, form) for hyp, form in query.hyps)
-    if not satisfied or holds(team, goal, query.goal_form):
+    """The report for ``grid`` as a team over the query's attributes if it
+    satisfies the query's hypotheses and fails its goal, as the grid's memo
+    of ``satisfies`` tells."""
+    team, goal = grid.team(query.attrs), query.goal
+    satisfied = all(grid.holds(team, hyp, form) for hyp, form in query.hyps)
+    if not satisfied or grid.holds(team, goal, query.goal_form):
         return None
     status = tuple((hyp, True) for hyp in query.sigma.atoms)
     return CountermodelReport(team, status, goal, domain_size, construction)
@@ -152,11 +148,6 @@ class _Grid:
         self.groups: dict | None = None
         self._verdicts: dict[_Form, bool] = {}
 
-    def clamp(self, form: _Form) -> _Form:
-        """``form`` with k clamped to rows + 1: an atom of the clamped form
-        holds on the same teams over these rows."""
-        return form if form[2] <= self.most else (form[0], form[1], self.most)
-
     def team(self, names: tuple[str, ...], rows: frozenset[Row] | None = None) -> Team:
         """The grid, or its subteam ``rows``, as a team over ``names``;
         SchemaError if a name is invalid."""
@@ -167,9 +158,11 @@ class _Grid:
 
     def holds(self, team: Team, atom: Atom, form: _Form) -> bool:
         """``satisfies(team, atom)`` for a ``team`` over this grid's rows,
-        checked once per clamped ``form`` of ``atom`` over the team's
-        attributes."""
-        form = self.clamp(form)
+        checked once per ``form`` of ``atom`` over the team's attributes,
+        with k clamped to rows + 1: an atom of the clamped form holds on the
+        same teams over these rows."""
+        if form[2] > self.most:
+            form = (form[0], form[1], self.most)
         verdict = self._verdicts.get(form)
         if verdict is None:
             verdict = self._verdicts[form] = satisfies(team, atom)
@@ -295,7 +288,7 @@ def _truncated(query: _Query) -> CountermodelReport | None:
     for domain in range(start, MAX_DOMAIN + 1):
         grid = _grid(n, domain, published, protected, k - 2)
         construction = CONSTRUCTION_TERNARY if domain == 3 and k == 2 else CONSTRUCTION_TRUNCATED
-        report = _report(grid.team(query.attrs), grid.holds, query, domain, construction)
+        report = _report(grid, query, domain, construction)
         if report is not None:
             return report
         if domain == start and (
@@ -321,18 +314,7 @@ def build_full_grid_countermodel(sigma: AtomSet, goal: Atom) -> CountermodelRepo
 def _full_grid(query: _Query) -> CountermodelReport | None:
     domain = max(2, max((form[2] for _, form in query.hyps), default=2))
     grid = _grid(len(query.attrs), domain)
-    return _report(grid.team(query.attrs), grid.holds, query, domain, CONSTRUCTION_FULL)
-
-
-def witness_report(team: Team, sigma: AtomSet, goal: Atom) -> CountermodelReport:
-    """Wrap an explicitly supplied team as a verified countermodel."""
-    distinct_values = {v for row in team.rows for v in row}
-    query = _Query(sigma, goal)
-    report = _report(
-        team, lambda team, atom, _: satisfies(team, atom), query,
-        len(distinct_values), CONSTRUCTION_WITNESS,
-    )
-    return _verified(report, query, CONSTRUCTION_WITNESS)
+    return _report(grid, query, domain, CONSTRUCTION_FULL)
 
 
 def candidate_teams(sigma: AtomSet, goal: Atom) -> Iterator[tuple[str, Team]]:

@@ -37,7 +37,8 @@ class Lattice:
     * The atom's mask is the AND over groups; k = 1 gives every team.
 
     Masks are keyed by the atom's form over the sorted attributes
-    (``query._Query``), clamped by the grid (``_Grid.clamp``).
+    (``query._Query``), with k clamped to the grid's rows + 1, as
+    ``_Grid.holds`` clamps it.
     """
 
     def __init__(self, grid: _Grid):
@@ -59,7 +60,8 @@ class Lattice:
     def mask(self, form: _Form) -> int:
         """The teams satisfying an atom of ``form`` over the grid's
         attribute positions."""
-        form = self.grid.clamp(form)
+        if form[2] > self.grid.most:
+            form = (form[0], form[1], self.grid.most)
         cached = self._masks.get(form)
         if cached is None:
             cached = self._masks[form] = self._build(*form)
@@ -92,7 +94,7 @@ _lattices: dict[tuple[int, int], Lattice] = {}
 
 
 def lattice_entails(sigma: AtomSet, goal, cfg: OracleConfig) -> OracleResult:
-    """Exhaustive-mode ``semantic_entails`` by the bitmaps: the candidates
+    """``semantic_entails`` by the bitmaps: the candidates
     first, then the lowest-index refuting team over the full grid, and
     ENTAILED or UNKNOWN by the oracle's rule otherwise."""
     query = _Query(sigma, goal)
@@ -111,7 +113,6 @@ def lattice_entails(sigma: AtomSet, goal, cfg: OracleConfig) -> OracleResult:
     if refuting:
         index = (refuting & -refuting).bit_length() - 1
         return OracleResult(OracleStatus.REFUTED, lattice.team(attrs, index), lattice.count)
-    largest = max((a.k for a in (*sigma.atoms, goal)), default=2)
-    if largest > 2 and cfg.domain_size < largest + 1:
+    if max((a.k for a in (*sigma.atoms, goal)), default=2) > 2:
         return OracleResult(OracleStatus.UNKNOWN, None, lattice.count)
     return OracleResult(OracleStatus.ENTAILED, None, lattice.count)

@@ -82,7 +82,7 @@ def test_criterion_03_plain_fragment_completeness_sweep():
     start = time.monotonic()
     attrs = ("a", "b", "c")
     shapes = [Atom(pub, prot, 2) for pub, prot in all_normal_shapes(attrs)]
-    cfg = OracleConfig(domain_size=2, attribute_limit=3, mode="exhaustive")
+    cfg = OracleConfig(domain_size=2, attribute_limit=3)
     instances = 0
     for size in range(0, 4):
         for sigma_atoms in itertools.combinations(shapes, size):

@@ -402,16 +402,6 @@ class TestOracle:
         assert doc["status"] == "entailed"
         assert doc["teams_checked"] == 65536
 
-    def test_random_mode_unknown(self, capsys, tmp_path):
-        sigma_path = tmp_path / "s.txt"
-        sigma_path.write_text("x y Y z\n", encoding="utf-8")
-        code, doc = run_json(
-            capsys, "oracle", "--sigma", str(sigma_path), "--goal", "x Y z",
-            "--mode", "random", "--samples", "25", "--seed", "4",
-        )
-        assert code in (1, 3)
-        assert doc["status"] in ("refuted", "unknown")
-
     def test_config_error(self, capsys, chain_sigma):
         code, doc = run_json(
             capsys, "oracle", "--sigma", chain_sigma, "--goal", "x Y z", "--attrs", "5",
@@ -421,7 +411,7 @@ class TestOracle:
 
     def test_three_values_over_four_attributes(self, capsys, tmp_path):
         # 81 rows, 2^81 teams: a plain goal is decided, a k = 3 goal stays
-        # unknown, since three values do not exceed its multiplicity
+        # unknown, since no small-model bound covers its multiplicity
         sigma_path = tmp_path / "s.txt"
         for line, goal, code, status in (
             ("x y Y z u", "x Y z u", 0, "entailed"), ("x y Y3 z u", "x Y3 z u", 3, "unknown"),
@@ -429,21 +419,47 @@ class TestOracle:
             sigma_path.write_text(line + "\n", encoding="utf-8")
             assert run_json(
                 capsys, "oracle", "--sigma", str(sigma_path), "--goal", goal, "--domain-size", "3"
-            ) == (code, _report("oracle", mode="exhaustive", sigma=[line], goal=goal,
+            ) == (code, _report("oracle", sigma=[line], goal=goal,
                                 status=status, teams_checked=2**81))
 
-    def test_fixpoint_budget(self, capsys, tmp_path):
-        # S holds 13 of the 27 bcd tuples: C(26, 12) fixpoints, past 2^16
+    def test_fixpoint_budget(self, capsys, monkeypatch, tmp_path):
+        # S would hold 6 of the 27 bcd tuples: C(26, 5) fixpoints, past 2^16.
+        # No team refutes (bcd shows at least the 7 bc tuples), and the
+        # descent stops at a minimal S showing 7, so it cannot tell
+        from anonatom import oracle
+
+        callers = []
+        largest = oracle._largest
+
+        def counted(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return largest(*args)
+
+        monkeypatch.setattr(oracle, "_largest", counted)
+        sigma_path = tmp_path / "s.txt"
+        sigma_path.write_text("a Y7 b c\n", encoding="utf-8")
+        code, doc = run_json(
+            capsys, "oracle", "--sigma", str(sigma_path), "--goal", "a Y7 b c d",
+            "--attrs", "4", "--domain-size", "3",
+        )
+        assert code == 2
+        assert doc["error"] == {"kind": "ResourceError", "message": (
+            "the goal needs C(26, 5) fixpoints over 81 rows; cap is 65536"
+        )}
+        assert set(callers) == {"_descent"} and len(callers) <= 2 * 27 + 1
+
+    def test_past_the_cap_the_descent_refutes(self, capsys, tmp_path):
+        # C(26, 12) fixpoints, past 2^16; with no hypothesis the descent
+        # drops bcd tuples until the a = 0 group shows 13
         sigma_path = tmp_path / "empty.txt"
         sigma_path.write_text("", encoding="utf-8")
         code, doc = run_json(
             capsys, "oracle", "--sigma", str(sigma_path), "--goal", "a Y14 b c d",
             "--attrs", "4", "--domain-size", "3",
         )
-        assert code == 2
-        assert doc["error"] == {"kind": "ResourceError", "message": (
-            "the goal needs C(26, 12) fixpoints over 81 rows; cap is 65536"
-        )}
+        assert (code, doc["status"], doc["teams_checked"]) == (1, "refuted", 2**81)
+        refuter = anonatom.Team.of(doc["refuter"]["attributes"], map(tuple, doc["refuter"]["rows"]))
+        assert not anonatom.satisfies(refuter, parse_atom("a Y14 b c d"))
 
 
 class TestErrorRecords:
@@ -480,6 +496,7 @@ class TestErrorRecords:
             ["check", "--team", "t.csv", "--atom", "x Y y", "--bogus"],
             ["oracle", "--sigma", "s.txt", "--goal", "x Y y", "--attrs", "five"],
             [],
+            ["oracle", "--sigma", "s.txt", "--goal", "x Y y", "--mode", "random"],
         ],
     )
     def test_usage_error_is_a_json_record(self, capsys, argv):
@@ -565,7 +582,6 @@ _LOADED_BY_EVERY_COMMAND = {"anonatom", "anonatom.cli", "anonatom.errors"}
 _MODEL = _LOADED_BY_EVERY_COMMAND | {"anonatom._value", "anonatom.team", "anonatom.atoms"}
 _TABLE = _MODEL | {"anonatom.teamio", "csv"}
 _HYPOTHESES = _MODEL | {"anonatom.syntax", "anonatom.query", "anonatom.countermodel"}
-# an entailed goal, so that random mode gets past the constructions to sample
 _ORACLE = ["oracle", "--sigma", "sigma.txt", "--goal", "x Y y", "--attrs", "3"]
 
 
@@ -578,8 +594,7 @@ _ORACLE = ["oracle", "--sigma", "sigma.txt", "--goal", "x Y y", "--attrs", "3"]
      _TABLE | {"anonatom.teamlogic"}),
     (["entail", "--sigma", "sigma.txt", "--goal", "x Y z"], _HYPOTHESES | {"anonatom.inference"}),
     (_ORACLE, _HYPOTHESES | {"anonatom.oracle"}),
-    (_ORACLE + ["--mode", "random"], _HYPOTHESES | {"anonatom.oracle", "random"}),
-], ids=["version", "audit", "check-atom", "check-formula", "entail", "oracle", "oracle-random"])
+], ids=["version", "audit", "check-atom", "check-formula", "entail", "oracle"])
 def test_each_command_loads_only_its_modules(tmp_path, argv, expected):
     (tmp_path / "census.csv").write_text(CENSUS_CSV, encoding="utf-8")
     (tmp_path / "sigma.txt").write_text("x Y y\ny Y z\n", encoding="utf-8")
@@ -766,11 +781,11 @@ def test_reports_are_one_line_of_unchanged_json(capsys, tmp_path, census_csv):
          _report("entail", mode="k-saturate", sigma=["x Y y"], goal="a Y3 b", verdict="unknown",
                  saturated_atoms=12)),
         (["oracle", "--sigma", str(one), "--goal", "y Y x", "--attrs", "2"], 1, _report(
-            "oracle", mode="exhaustive", sigma=["x Y y"], goal="y Y x", status="refuted",
+            "oracle", sigma=["x Y y"], goal="y Y x", status="refuted",
             teams_checked=1, refuter={"attributes": ["x", "y"], "rows": _XY_REFUTER},
         )),
         (["oracle", "--sigma", str(derivable), "--goal", "x Y z", "--attrs", "3"], 0, _report(
-            "oracle", mode="exhaustive", sigma=["x y Y z"], goal="x Y z", status="entailed",
+            "oracle", sigma=["x y Y z"], goal="x Y z", status="entailed",
             teams_checked=256,
         )),
     ]

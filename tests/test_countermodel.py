@@ -24,11 +24,10 @@ from anonatom import (
     satisfies,
     semantic_entails,
     verify_countermodel,
-    witness_report,
 )
 from anonatom import countermodel
 from anonatom.countermodel import _grid
-from conftest import TRANSITIVITY_ATTRS, TRANSITIVITY_ROWS, all_normal_shapes, form
+from conftest import all_normal_shapes, form
 
 
 def atom(pub, prot, k=2):
@@ -211,20 +210,6 @@ class TestFullGrid:
     def test_rejects_refutable_goals(self):
         with pytest.raises(ValueError):
             build_full_grid_countermodel(AtomSet.of(), atom("x", "y"))
-
-
-class TestWitness:
-    def test_transitivity_failure_witness(self):
-        team = Team.of(TRANSITIVITY_ATTRS, TRANSITIVITY_ROWS)
-        sigma = AtomSet.of(atom("x", "y"), atom("y", "z"))
-        report = witness_report(team, sigma, atom("x", "z"))
-        assert report.construction == "explicit-witness"
-        assert verify_countermodel(report, sigma, atom("x", "z"))
-
-    def test_bad_witness_rejected(self):
-        team = Team.of(TRANSITIVITY_ATTRS, TRANSITIVITY_ROWS)
-        with pytest.raises(VerificationError):
-            witness_report(team, AtomSet.of(), atom("x", "y"))  # x Y y holds on this team
 
 
 class TestMutation:

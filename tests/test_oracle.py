@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 from math import comb
 
@@ -18,7 +19,6 @@ from anonatom import (
     entails_anonymity,
     entails_k_saturate,
     entails_k_simple,
-    random_team,
     satisfies,
     semantic_entails,
 )
@@ -75,23 +75,18 @@ GRID_REFUTED = [
 
 class TestConfig:
     def test_exhaustive_lattice_gate(self):
-        # the 2^16-team gate is gone: exhaustive mode covers the grid space,
+        # the 2^16-team gate is gone: the search covers the grid space,
         # up to 4 attributes over 3 values (81 rows, 2^81 teams)
-        cfg = OracleConfig(domain_size=3, attribute_limit=4, mode="exhaustive")
+        cfg = OracleConfig(domain_size=3, attribute_limit=4)
         result = semantic_entails(AtomSet.of(atom("ab", "cd")), atom("a", "cd"), cfg)
         assert result == OracleResult(OracleStatus.ENTAILED, None, 2**81)
-        # no refuter, but a domain of 3 values does not exceed the multiplicity
+        # no refuter, but k = 3 needs a small-model bound to be ENTAILED
         result = semantic_entails(AtomSet.of(atom("ab", "cd", 3)), atom("a", "cd", 3), cfg)
         assert result == OracleResult(OracleStatus.UNKNOWN, None, 2**81)
-        OracleConfig(domain_size=3, attribute_limit=4, mode="random")
 
     def test_domain_size_gate(self):
         with pytest.raises(ConfigError):
             OracleConfig(domain_size=4)
-
-    def test_mode_gate(self):
-        with pytest.raises(ConfigError):
-            OracleConfig(mode="clever")
 
     def test_instance_wider_than_limit(self):
         sigma = AtomSet.of(atom("abc", "d"))
@@ -372,35 +367,64 @@ class TestCanonicalRefuter:
         assert refutes(result.refuter, sigma, goal)
 
 
+def _seeded_sample():
+    """5,000 seeded instances ``(sigma, goal, cfg)``: 1-4 attributes over 2
+    values and 1-2 over 3, k from 1 to 6, overlapping and empty sides, 0-3
+    hypotheses."""
+    rng = random.Random(27)
+    for _ in range(5000):
+        domain = rng.choice((2, 3))
+        attrs = "abcd"[: rng.randint(1, 4 if domain == 2 else 2)]
+
+        def side():
+            return tuple(rng.sample(attrs, rng.randint(0, len(attrs))))
+
+        hyps = [Atom(side(), side(), rng.randint(1, 6)) for _ in range(rng.randint(0, 3))]
+        sigma = AtomSet.of(*hyps)
+        goal = Atom(side(), side(), rng.randint(1, 6))
+        yield sigma, goal, OracleConfig(domain_size=domain, attribute_limit=len(attrs))
+
+
 class TestAgainstTheLattice:
     def test_seeded_sample(self):
-        """Exhaustive mode against the reference lattice on 5,000 seeded
-        instances: 1-4 attributes over 2 values and 1-2 over 3, k from 1 to
-        6, overlapping and empty sides, 0-3 hypotheses.  Status and
-        ``teams_checked`` agree, and every refuter refutes."""
-        rng = random.Random(27)
+        """The oracle against the reference lattice on the seeded sample.
+        Status and ``teams_checked`` agree, and every refuter refutes."""
         seen = Counter()
-        for _ in range(5000):
-            domain = rng.choice((2, 3))
-            attrs = "abcd"[: rng.randint(1, 4 if domain == 2 else 2)]
-
-            def side():
-                return tuple(rng.sample(attrs, rng.randint(0, len(attrs))))
-
-            hyps = [Atom(side(), side(), rng.randint(1, 6)) for _ in range(rng.randint(0, 3))]
-            sigma = AtomSet.of(*hyps)
-            goal = Atom(side(), side(), rng.randint(1, 6))
-            cfg = OracleConfig(domain_size=domain, attribute_limit=len(attrs))
+        for sigma, goal, cfg in _seeded_sample():
             result = semantic_entails(sigma, goal, cfg)
             reference = lattice_entails(sigma, goal, cfg)
             assert (result.status, result.teams_checked) == (
                 reference.status, reference.teams_checked
-            ), (sigma, goal, domain)
+            ), (sigma, goal, cfg)
             if result.refuter is not None:
-                assert refutes(result.refuter, sigma, goal), (sigma, goal, domain)
+                assert refutes(result.refuter, sigma, goal), (sigma, goal, cfg)
             seen[result.status, result.teams_checked > 1] += 1
         # candidates, refutations by the search, ENTAILED and UNKNOWN all occur
         assert len(seen) == 4 and min(seen.values()) >= 100, seen
+
+    def test_seeded_sample_descending(self, monkeypatch):
+        """The same sample with no fixpoint allowed, so that every search
+        with a choice of S descends.  Where the descent answers, status and
+        ``teams_checked`` agree with the reference and every refuter
+        refutes; it raises ResourceError only where the reference finds no
+        refuter."""
+        monkeypatch.setattr(oracle, "MAX_FIXPOINTS", 0)
+        seen = Counter()
+        for sigma, goal, cfg in _seeded_sample():
+            reference = lattice_entails(sigma, goal, cfg)
+            try:
+                result = semantic_entails(sigma, goal, cfg)
+            except ResourceError:
+                assert reference.status is not OracleStatus.REFUTED, (sigma, goal, cfg)
+                seen["undecided"] += 1
+                continue
+            assert (result.status, result.teams_checked) == (
+                reference.status, reference.teams_checked
+            ), (sigma, goal, cfg)
+            if result.refuter is not None:
+                assert refutes(result.refuter, sigma, goal), (sigma, goal, cfg)
+            seen[result.status] += 1
+        assert seen["undecided"] == 4 and len(seen) == 4 and min(seen.values()) >= 4, seen
 
     def test_deletions_cascade(self):
         # The goal's zero group b = 0 keeps only a = 0, so the groups a = 1
@@ -417,34 +441,62 @@ class TestAgainstTheLattice:
 class TestFixpointBudget:
     @pytest.fixture
     def fixpoints(self, monkeypatch):
-        """The calls of ``oracle._largest``, one per fixpoint."""
+        """The function that called ``oracle._largest``, once per fixpoint:
+        ``_refuting`` for the enumeration, ``_descent`` for the descent."""
         calls = []
         largest = oracle._largest
 
         def counted(*args):
-            calls.append(args)
+            calls.append(sys._getframe(1).f_code.co_name)
             return largest(*args)
 
         monkeypatch.setattr(oracle, "_largest", counted)
         return calls
 
     def test_checked_before_any_fixpoint(self, fixpoints):
-        # S holds 14 of the 81 tuples over abcd: C(80, 13) fixpoints
-        with pytest.raises(ResourceError, match="fixpoints"):
-            semantic_entails(AtomSet.of(), Atom((), tuple("abcd"), 15), OracleConfig(domain_size=3))
-        assert fixpoints == []
+        # S would hold 4 of the 81 abcd tuples: C(80, 3) fixpoints, past 2^16.
+        # No team refutes (abcd shows at least the 5 ab tuples), and the
+        # descent stops at a minimal S showing 5, so it cannot tell
+        sigma, goal = AtomSet.of(Atom((), ("a", "b"), 5)), Atom((), tuple("abcd"), 5)
+        with pytest.raises(ResourceError, match=r"C\(80, 3\) fixpoints over 81 rows"):
+            semantic_entails(sigma, goal, OracleConfig(domain_size=3))
+        assert set(fixpoints) == {"_descent"} and len(fixpoints) <= 2 * 81 + 1
 
     def test_cap_counts_fixpoints(self, fixpoints):
         # 27 tuples over bcd at D = 3: Y6 takes C(26, 4) = 14,950 fixpoints,
-        # Y7 would take C(26, 5) = 65,780, past 2^16
+        # Y7 would take C(26, 5) = 65,780, past 2^16, so it descends: with no
+        # hypothesis, one fixpoint for S = every tuple and one per tuple
+        # dropped, from 27 down to 6
         cfg = OracleConfig(domain_size=3, attribute_limit=3)
         goal = Atom((), ("b", "c", "d"), 6)
         result = semantic_entails(AtomSet.of(goal), goal, cfg)
         assert result == OracleResult(OracleStatus.UNKNOWN, None, 2**27)
-        assert len(fixpoints) == 14_950
-        with pytest.raises(ResourceError):
-            semantic_entails(AtomSet.of(), Atom((), ("b", "c", "d"), 7), cfg)
-        assert len(fixpoints) == 14_950
+        assert fixpoints == ["_refuting"] * 14_950
+        goal = Atom((), ("b", "c", "d"), 7)
+        result = semantic_entails(AtomSet.of(), goal, cfg)
+        assert result.status is OracleStatus.REFUTED and len(result.refuter) == 6
+        assert refutes(result.refuter, AtomSet.of(), goal)
+        assert fixpoints[14_950:] == ["_descent"] * 22
+
+    @pytest.mark.parametrize("goal", [Atom((), tuple("abcd"), 15), Atom(("a",), tuple("bcd"), 14)])
+    def test_past_the_cap_the_descent_refutes(self, fixpoints, goal):
+        # C(80, 13) and C(26, 12) fixpoints, past 2^16
+        result = semantic_entails(AtomSet.of(), goal, OracleConfig(domain_size=3))
+        assert result.status is OracleStatus.REFUTED and result.teams_checked == 2**81
+        assert refutes(result.refuter, AtomSet.of(), goal)
+        protected = 3 ** len(goal.protected)
+        assert set(fixpoints) == {"_descent"} and len(fixpoints) <= 2 * protected + 1
+
+    def test_the_descent_is_incomplete(self, monkeypatch):
+        # a 3-row diagonal over ab refutes: 3 a-values, 3 b-values, 3 ab
+        # tuples; the descent stops at a minimal S of 4 ab tuples instead
+        sigma, goal = AtomSet.of(atom("", "a", 3), atom("", "b", 3)), atom("", "ab", 4)
+        cfg = OracleConfig(domain_size=3, attribute_limit=2)
+        result = semantic_entails(sigma, goal, cfg)
+        assert result.status is OracleStatus.REFUTED and len(result.refuter) == 3
+        monkeypatch.setattr(oracle, "MAX_FIXPOINTS", 0)
+        with pytest.raises(ResourceError, match=r"C\(8, 2\) fixpoints over 9 rows; cap is 0"):
+            semantic_entails(sigma, goal, cfg)
 
     def test_the_former_grid_space_fits(self, fixpoints):
         # every instance of the former 2^16-team space (D = 2 over up to 4
@@ -487,44 +539,6 @@ class TestSmallestA1A5Gap:
 
     @pytest.mark.parametrize("domain, teams", [(2, 2**16), (3, 2**81)])
     def test_no_refuter_over_four_attributes(self, domain, teams):
-        # UNKNOWN rather than ENTAILED: the domain does not exceed k = 3
+        # UNKNOWN rather than ENTAILED: no small-model bound covers k = 3
         result = semantic_entails(self.SIGMA, self.GOAL, OracleConfig(domain_size=domain))
         assert result == OracleResult(OracleStatus.UNKNOWN, None, teams)
-
-
-class TestRandomMode:
-    def test_never_entailed(self):
-        cfg = OracleConfig(domain_size=2, attribute_limit=3, mode="random", samples=40, seed=9)
-        outcomes = set()
-        for goal in (atom("x", "z"), atom("x", "zy")):
-            # entailed goals still come back UNKNOWN in random mode
-            result = semantic_entails(AtomSet.of(atom("xy", "z"), atom("x", "zy")), goal, cfg)
-            outcomes.add(result.status)
-        assert OracleStatus.ENTAILED not in outcomes
-
-    def test_finds_easy_refuters(self):
-        cfg = OracleConfig(domain_size=2, attribute_limit=3, mode="random", samples=200, seed=1)
-        sigma = AtomSet.of(atom("y", "x"))
-        # strip the candidate shortcut's chance to matter: candidates also
-        # refute, so just confirm the verdict and the refuter's validity
-        result = semantic_entails(sigma, atom("x", "y"), cfg)
-        assert result.status is OracleStatus.REFUTED
-        assert refutes(result.refuter, sigma, atom("x", "y"))
-
-
-class TestRandomTeam:
-    def test_zero_budget(self):
-        assert random_team(("a", "b"), ("0", "1"), 0, seed=3).is_empty
-
-    def test_same_seed_same_team(self):
-        first = random_team(("a", "b"), ("0", "1", "2"), 8, seed=42)
-        second = random_team(("a", "b"), ("0", "1", "2"), 8, seed=42)
-        assert first == second
-
-    def test_budget_respected(self):
-        for seed in range(25):
-            assert len(random_team(("a",), ("0", "1"), 5, seed=seed)) <= 5
-
-    def test_negative_budget(self):
-        with pytest.raises(ValueError):
-            random_team(("a",), ("0",), -1, seed=0)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from anonatom import Schema, SchemaError, Team, extend, group_by, random_team
+from anonatom import Schema, SchemaError, Team, extend, group_by
 from conftest import grid_rows, random_small_team
 
 
@@ -91,10 +91,6 @@ class TestRowsFromCallersAreChecked:
         team = Team.of(("a",), [("0",)])
         with pytest.raises(SchemaError, match="non-string"):
             extend(team, "v", {("0",): {1}})
-
-    def test_random_team(self):
-        with pytest.raises(SchemaError, match="non-string"):
-            random_team(("a",), (0, 1), 8, seed=1)
 
     def test_trusted_team_equals_checked_team(self):
         rows = frozenset({("0", "1"), ("1", "1")})

@@ -85,10 +85,9 @@ CASES = [
      "satisfied_hypotheses=((Atom(published=('a',), protected=('b',), k=3), True),), "
      "failed_goal=Atom(published=('a',), protected=('b',), k=3), domain_size=3, "
      "construction='ternary-grid')"),
-    (OracleConfig, {},
-     {"domain_size": 3, "attribute_limit": 2, "mode": "random", "samples": 5, "seed": 7},
-     {"domain_size": 2, "attribute_limit": 4, "mode": "exhaustive", "samples": 1000, "seed": 0},
-     "OracleConfig(domain_size=3, attribute_limit=2, mode='random', samples=5, seed=7)"),
+    (OracleConfig, {}, {"domain_size": 3, "attribute_limit": 2},
+     {"domain_size": 2, "attribute_limit": 4},
+     "OracleConfig(domain_size=3, attribute_limit=2)"),
     (OracleResult, {"status": OracleStatus.REFUTED}, {"refuter": TEAM, "teams_checked": 4},
      {"refuter": None, "teams_checked": 0},
      "OracleResult(status=<OracleStatus.REFUTED: 'refuted'>, "
@@ -189,7 +188,7 @@ def test_changed_field_breaks_equality():
     assert Atom(("a",), ("b",)) != Atom(("a",), ("b",), 3)
     assert Atom(("a",), ("b",)) != Atom(("a",), ("c",))
     assert LiteralNode("a", "1") != LiteralNode("a", "1", negated=True)
-    assert OracleConfig() != OracleConfig(seed=1)
+    assert OracleConfig() != OracleConfig(attribute_limit=3)
 
 
 def test_classes_with_equal_fields_are_unequal():
@@ -252,12 +251,9 @@ def test_entailment_equality_ignores_the_closure():
      "DependenceAtom(determinants=('a',), dependents=('b',))"),
     (lambda: ImplNode((AtomNode(ATOM),), LITERAL), TypeError,
      "implication guards are conjunctions of literals only"),
-    (lambda: OracleConfig(mode="all"), ConfigError,
-     "mode must be 'exhaustive' or 'random', got 'all'"),
     (lambda: OracleConfig(domain_size=4), ConfigError, "domain_size must be 2 or 3, got 4"),
     (lambda: OracleConfig(attribute_limit=5), ConfigError,
      "attribute_limit must be between 1 and 4, got 5"),
-    (lambda: OracleConfig(samples=-1), ConfigError, "samples must be non-negative"),
 ])
 def test_validation_errors_are_unchanged(build, error, message):
     with pytest.raises(error) as raised:
