@@ -32,13 +32,6 @@ EXIT_FAILS = 1
 EXIT_ERROR = 2
 EXIT_UNKNOWN = 3
 
-# The engine of each ``entail --mode``, a function of ``inference``.
-_ENTAIL_MODES = {
-    "upsilon": "entails_anonymity",
-    "anonymity": "entails_anonymity",
-    "k-simple": "entails_k_simple",
-    "k-saturate": "entails_k_saturate",
-}
 # Exit codes by ``Verdict`` and by ``OracleStatus``, both string enums.
 _VERDICT_EXIT = {"derivable": EXIT_HOLDS, "not-derivable": EXIT_FAILS, "unknown": EXIT_UNKNOWN}
 _STATUS_EXIT = {"entailed": EXIT_HOLDS, "refuted": EXIT_FAILS, "unknown": EXIT_UNKNOWN}
@@ -225,13 +218,21 @@ def _cmd_audit(args) -> _Report:
 
 def _cmd_entail(args) -> _Report:
     from . import inference
+    from .query import _Query
     from .syntax import format_atom, load_sigma_file, parse_atom
 
     sigma = load_sigma_file(args.sigma)
     goal = parse_atom(args.goal)
-    result = getattr(inference, _ENTAIL_MODES[args.mode])(sigma, goal)
+    query = _Query(sigma, goal)  # the first engine whose fragment holds the instance
+    if query.plain:
+        mode, engine = "upsilon", inference.entails_anonymity
+    elif query.simple:
+        mode, engine = "k-simple", inference.entails_k_simple
+    else:
+        mode, engine = "k-saturate", inference.entails_k_saturate
+    result = engine(sigma, goal)
     document = {
-        "mode": args.mode,
+        "mode": mode,
         "sigma": [format_atom(a) for a in sigma.atoms],
         "goal": args.goal.strip(),
         "verdict": result.verdict.value,
@@ -326,15 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--min-k", type=int, default=None, help="exit 1 when the degree is below K")
     audit.set_defaults(func=_cmd_audit)
 
-    entail = command("entail", help="decide whether hypotheses entail a goal atom")
+    entail = command("entail", help="decide whether hypotheses entail a goal atom",
+                     description="The instance picks the engine, reported as the mode: upsilon "
+                     "if every k is at most 2, else k-simple if every atom of k above 1 "
+                     "protects one attribute, else k-saturate (sound, may answer unknown).")
     entail.add_argument("--sigma", required=True, help="hypothesis file, one atom per line")
     entail.add_argument("--goal", required=True, help="goal atom text")
-    entail.add_argument(
-        "--mode",
-        choices=sorted(_ENTAIL_MODES),
-        default="upsilon",
-        help="fragment: plain anonymity atoms, simple k-atoms, or sound saturation",
-    )
     entail.add_argument("--countermodel-out", help="write the refuting team as CSV")
     entail.set_defaults(func=_cmd_entail)
 
@@ -343,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--goal", required=True)
     oracle.add_argument("--attrs", type=int, default=4,
                         help="attribute limit (at most 4); n attributes give a grid of D^n rows")
-    oracle.add_argument("--domain-size", type=int, default=2, choices=(2, 3),
-                        help="D; the search decides all 2^rows teams in at most 2^16 "
-                        "fixpoints, or descends past that")
+    oracle.add_argument("--domain-size", type=int, default=2,
+                        help="D, 2 or 3; the search decides all 2^rows teams in at most "
+                        "2^16 fixpoints, or descends past that")
     oracle.add_argument("--refuter-out", help="write the refuting team as CSV")
     oracle.set_defaults(func=_cmd_oracle)
 

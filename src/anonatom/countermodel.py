@@ -23,9 +23,9 @@ Each construction checks its grid with the checkers and returns None
 when it does not refute; the truncated grid consults consistency and
 subsumption only before it grows past its first domain.  The public
 builders and the engines raise ``VerificationError`` then instead of
-returning an unverified report.  The public builders check their
-fragment and put ``(sigma, goal)`` in normal form (``query._Query``);
-the engines and the oracle pass the form they hold straight to the
+returning an unverified report.  The public builders put ``(sigma,
+goal)`` in normal form (``query._Query``) and check its fragment; the
+engines and the oracle pass the form they hold straight to the
 constructions.  The size caps are the module constants below, checked
 before any row is built.
 
@@ -216,14 +216,14 @@ def _grid(
     return grid
 
 
-def _protecting(sigma: AtomSet, goal: Atom) -> _Query:
-    """The query, if its goal protects something after cancellation."""
-    query = _Query(sigma, goal)
+def _refutable(query: _Query) -> None:
+    """ValueError unless the goal has k >= 2 and protects something after cancellation."""
+    if query.goal.k < 2:
+        raise ValueError("multiplicity-1 goals hold everywhere; nothing to refute")
     if not query.goal_form[1]:
         raise ValueError(
             "goal protects nothing after cancellation; use build_full_grid_countermodel"
         )
-    return query
 
 
 def build_anonymity_countermodel(sigma: AtomSet, goal: Atom) -> CountermodelReport:
@@ -233,9 +233,10 @@ def build_anonymity_countermodel(sigma: AtomSet, goal: Atom) -> CountermodelRepo
     Requires a goal whose protected side survives normalization; goals
     that cancel to an empty protected side need ``build_full_grid_countermodel``.
     """
-    if goal.k != 2 or any(a.k != 2 for a in sigma.atoms):
-        raise FragmentError("the ternary construction covers multiplicity-2 atoms only")
-    query = _protecting(sigma, goal)
+    query = _Query(sigma, goal)
+    if not query.plain:
+        raise FragmentError("the ternary construction covers multiplicities up to 2 only")
+    _refutable(query)
     return _verified(_truncated(query), query, CONSTRUCTION_TERNARY)
 
 
@@ -247,12 +248,10 @@ def build_k_anonymity_countermodel(sigma: AtomSet, goal: Atom) -> CountermodelRe
     records the domain size used, and says ``ternary-grid`` for the grid
     at D = 3 of a k = 2 goal.
     """
-    for atom in (*sigma.atoms, goal):
-        if not atom.is_simple:
-            raise FragmentError(f"{atom} is not simple; the truncated grid needs |protected| = 1")
-    if goal.k < 2:
-        raise ValueError("multiplicity-1 goals hold everywhere; nothing to refute")
-    query = _protecting(sigma, goal)
+    query = _Query(sigma, goal)
+    if not query.simple:
+        raise FragmentError("an atom is not simple; the truncated grid needs |protected| = 1")
+    _refutable(query)
     # guard the documented precondition (a non-derivable instance): when the
     # goal follows from the hypotheses no grid refutes it
     bad = _inconsistent_member(query.hyps)
@@ -319,8 +318,9 @@ def _full_grid(query: _Query) -> CountermodelReport | None:
 
 def candidate_teams(sigma: AtomSet, goal: Atom) -> Iterator[tuple[str, Team]]:
     """At most one ``(construction, team)``: the verified refuter of
-    ``_refuter``, if the instance is plain-fragment or simple or its goal
-    protects nothing after cancellation, and a grid within the caps refutes.
+    ``_refuter``, if the goal has k >= 2, the instance is plain or simple
+    (``_Query.plain``, ``_Query.simple``) or its goal protects nothing
+    after cancellation, and a grid within ``MAX_ROWS`` refutes.
 
     The constructions are complete refuters on their fragments, so an
     oracle that tries them before enumerating never misses a refutation;
@@ -332,9 +332,7 @@ def candidate_teams(sigma: AtomSet, goal: Atom) -> Iterator[tuple[str, Team]]:
 
 def _candidates(query: _Query) -> Iterator[tuple[str, Team]]:
     _, protected, k = query.goal_form
-    atoms = (*query.sigma.atoms, query.goal)
-    covered = all(a.k == 2 for a in atoms) or all(a.is_simple for a in atoms)
-    if k < 2 or protected and not covered:
+    if k < 2 or protected and not (query.plain or query.simple):
         return
     try:
         report = _refuter(query)

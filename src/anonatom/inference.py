@@ -1,7 +1,9 @@
 """The derivability relation for anonymity atoms.
 
 Hypotheses and goals are ``Atom`` values; entailment questions are asked
-against an ``AtomSet``.  Three engines cover three fragments:
+against an ``AtomSet``.  Three engines cover three fragments, as
+``_Query.plain`` and ``.simple`` tell (k = 1 atoms count against
+neither), and ``entail`` runs the first whose fragment holds the instance:
 
 * ``entails_anonymity`` (the plain, k = 2 fragment) and
   ``entails_k_simple`` (one protected attribute, any k) decide their
@@ -194,18 +196,17 @@ def _settled(query: _Query) -> Entailment | None:
     return None
 
 
-def _decide(sigma: AtomSet, goal: Atom) -> Entailment:
+def _decide(query: _Query) -> Entailment:
     """The complete decision shared by the plain and the simple fragment;
     ``countermodel._refuter`` builds the refuter of a goal that does not
     follow, so both engines return the same countermodel on an instance in
     both fragments."""
-    query = _Query(sigma, goal)
     settled = _settled(query)
     if settled is not None:
         return settled
     hyp = _subsuming(query.hyps, query.goal_form)
     if hyp is not None:
-        return Entailment(Verdict.DERIVABLE, derivation=_weakening(hyp, goal))
+        return Entailment(Verdict.DERIVABLE, derivation=_weakening(hyp, query.goal))
     report = _verified(_refuter(query), query, "grid")
     return Entailment(Verdict.NOT_DERIVABLE, countermodel=report)
 
@@ -216,28 +217,21 @@ def entails_anonymity(sigma: AtomSet, goal: Atom) -> Entailment:
     Derivable answers carry a hypothesis/cancellation/weakening tree;
     NotDerivable answers carry a verified countermodel team.
     """
-    if goal.k != 2:
-        raise FragmentError(
-            f"goal has multiplicity {goal.k}; use entails_k_simple or entails_k_saturate"
-        )
-    for atom in sigma.atoms:
-        if atom.k != 2:
-            raise FragmentError(
-                f"hypothesis {atom} has multiplicity {atom.k}; "
-                "use entails_k_simple or entails_k_saturate"
-            )
-    return _decide(sigma, goal)
+    query = _Query(sigma, goal)
+    if not query.plain:
+        engine = "entails_k_simple" if query.simple else "entails_k_saturate"
+        raise FragmentError(f"a multiplicity is above 2; use {engine}")
+    return _decide(query)
 
 
 def entails_k_simple(sigma: AtomSet, goal: Atom) -> Entailment:
     """Decide entailment for simple atoms (single protected attribute,
     arbitrary multiplicities)."""
-    for atom in (*sigma.atoms, goal):
-        if not atom.is_simple:
-            raise FragmentError(
-                f"{atom} is not simple (one protected attribute); use entails_k_saturate"
-            )
-    return _decide(sigma, goal)
+    query = _Query(sigma, goal)
+    if not query.simple:
+        engine = "entails_anonymity" if query.plain else "entails_k_saturate"
+        raise FragmentError(f"an atom is not simple (one protected attribute); use {engine}")
+    return _decide(query)
 
 
 # Saturation bookkeeping: per (published, protected) pair we keep the best

@@ -1,13 +1,14 @@
 """Brute-force semantic entailment over a small value domain.
 
 ``semantic_entails`` first tries the explicit countermodel constructions,
-whose builders verify their output: they are complete refuters on their
-fragments, and some non-entailed claims have no refuter over a two-valued
-domain.  They read ``countermodel``'s shape cache, so an entailed instance
-costs a few memo reads before the search.  Otherwise it decides every
-team over the full grid G of g rows, D^n for n attributes over D values.
-A call puts the question in normal form once (``query._Query``), and all
-that follows reads it.
+whose builders verify their output: they are complete refuters on the
+plain and the simple fragment (``_Query.plain``, ``.simple``), and some
+non-entailed claims have no refuter over a two-valued domain.  They read
+``countermodel``'s shape cache, so an entailed instance costs a few memo
+reads before the search.  Otherwise it decides every team over the full
+grid G of g rows, D^n for n attributes over D values.  A call puts the
+question in normal form once (``query._Query``), and all that follows
+reads it.
 
 The search decides the 2^g teams by a greatest fixpoint over G's rows,
 and builds no team but the refuter.  Anonymity atoms are closed under
@@ -35,8 +36,8 @@ inclusion-minimal S still showing k or more is ResourceError, as another
 S may refute.
 
 The search answers REFUTED, ENTAILED or UNKNOWN.  A grid of at most 3
-values may be too small to host a refuter of an instance mentioning a
-multiplicity above 2, so such an instance with no refuter is UNKNOWN.
+values may be too small to host a refuter of an instance that is not
+plain (``_Query.plain``), so such an instance with no refuter is UNKNOWN.
 """
 
 from __future__ import annotations
@@ -202,9 +203,9 @@ def semantic_entails(sigma: AtomSet, goal: Atom, cfg: OracleConfig) -> OracleRes
     """Search for a team satisfying the hypotheses but not the goal;
     ``teams_checked`` counts the 2^g teams decided over the g grid rows.
 
-    With no refuter, instances mentioning a multiplicity above 2 stay
-    UNKNOWN: a grid of at most 3 values cannot host every refuter they
-    may have, until a small-model bound for them is proved."""
+    With no refuter, instances that are not plain stay UNKNOWN: a grid of
+    at most 3 values cannot host every refuter they may have, until a
+    small-model bound for them is proved."""
     query = _Query(sigma, goal)
     attrs = query.attrs
     if len(attrs) > cfg.attribute_limit:
@@ -220,6 +221,5 @@ def semantic_entails(sigma: AtomSet, goal: Atom, cfg: OracleConfig) -> OracleRes
     rows = _refuting(query, grid)
     if rows is not None:
         return OracleResult(OracleStatus.REFUTED, grid.team(attrs, rows), teams)
-    if max((a.k for a in (*sigma.atoms, goal)), default=2) > 2:
-        return OracleResult(OracleStatus.UNKNOWN, None, teams)
-    return OracleResult(OracleStatus.ENTAILED, None, teams)
+    status = OracleStatus.ENTAILED if query.plain else OracleStatus.UNKNOWN
+    return OracleResult(status, None, teams)

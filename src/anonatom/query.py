@@ -5,9 +5,9 @@ in.  ``_Query`` puts one question ``sigma |- goal`` in normal form once:
 the sorted universe, and each atom's published and protected attributes
 as bitmasks over it, with shared attributes cancelled, and its k.  The
 engines in :mod:`anonatom.inference`, the grid builders in
-:mod:`anonatom.countermodel` and the oracle all read that form, and
-``normalize`` gives the same form over attribute names.  This module
-holds no engine, so the oracle and the grid builders load none.
+:mod:`anonatom.countermodel` and the oracle all read that form and its
+fragment, and ``normalize`` gives the same form over attribute names.
+This module holds no engine, so the oracle and the grid builders load none.
 """
 
 from __future__ import annotations
@@ -108,9 +108,12 @@ class _Query:
     the normal form of ``normalize`` as bitmasks: order and duplicates are
     gone (A1) and shared attributes cancel from the protected side (A3),
     so atoms with one form hold on the same teams over ``attrs``.
+    ``plain`` (every k at most 2) and ``simple`` (every atom of k above 1
+    ``Atom.is_simple``) are the one fragment rule: a k = 1 atom holds on
+    every team, so it counts against neither.
     """
 
-    __slots__ = ("sigma", "goal", "attrs", "hyps", "goal_form", "_names")
+    __slots__ = ("sigma", "goal", "attrs", "hyps", "goal_form", "plain", "simple", "_names")
 
     def __init__(self, sigma: AtomSet, goal: Atom):
         self.sigma = sigma
@@ -118,13 +121,19 @@ class _Query:
         self.attrs = attrs = tuple(sorted({*sigma.attributes, *goal.published, *goal.protected}))
         bit = {a: 1 << i for i, a in enumerate(attrs)}
         forms: list[_Form] = []
+        plain = simple = True
         for atom in (*sigma.atoms, goal):
             published = protected = 0
             for a in atom.published:
                 published |= bit[a]
             for a in atom.protected:
                 protected |= bit[a]
-            forms.append((published, protected & ~published, atom.k))
+            k = atom.k
+            if k > 1:  # k = 1 holds on every team
+                plain = plain and k == 2
+                simple = simple and atom.is_simple
+            forms.append((published, protected & ~published, k))
+        self.plain, self.simple = plain, simple
         self.goal_form = forms.pop()
         self.hyps = tuple(zip(sigma.atoms, forms))
         self._names: dict[int, frozenset[str]] = {}

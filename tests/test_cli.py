@@ -319,39 +319,44 @@ class TestEntail:
     def test_k_simple_mode(self, capsys, tmp_path):
         sigma_path = tmp_path / "s.txt"
         sigma_path.write_text("x Y5 y\n", encoding="utf-8")
-        code, doc = run_json(
-            capsys, "entail", "--sigma", str(sigma_path), "--goal", "x Y3 y",
-            "--mode", "k-simple",
-        )
-        assert code == 0
+        code, doc = run_json(capsys, "entail", "--sigma", str(sigma_path), "--goal", "x Y3 y")
+        assert (code, doc["mode"]) == (0, "k-simple")
 
     def test_k_simple_goal_past_the_largest_domain_is_refuted(self, capsys, tmp_path):
         # no hypothesis asks for more than 3 values, so the 3 x 3 grid refutes
         sigma_path = tmp_path / "s.txt"
         sigma_path.write_text("", encoding="utf-8")
-        code, doc = run_json(
-            capsys, "entail", "--sigma", str(sigma_path), "--goal", "x Y64 y",
-            "--mode", "k-simple",
-        )
-        assert code == 1
+        code, doc = run_json(capsys, "entail", "--sigma", str(sigma_path), "--goal", "x Y64 y")
+        assert (code, doc["mode"]) == (1, "k-simple")
         assert doc["countermodel"]["rows"] == 9 and doc["countermodel"]["domain_size"] == 3
 
     def test_saturate_unknown_exits_three(self, capsys, tmp_path):
+        # k = 3 over two protected attributes: neither plain nor simple
         sigma_path = tmp_path / "s.txt"
         sigma_path.write_text("", encoding="utf-8")
-        code, doc = run_json(
-            capsys, "entail", "--sigma", str(sigma_path), "--goal", "x Y3 y",
-            "--mode", "k-saturate",
-        )
-        assert code == 3
+        code, doc = run_json(capsys, "entail", "--sigma", str(sigma_path), "--goal", "x Y3 y z")
+        assert (code, doc["mode"]) == (3, "k-saturate")
         assert doc["verdict"] == "unknown"
 
-    def test_fragment_mismatch_exits_two(self, capsys, tmp_path):
+    def test_simple_instance_runs_the_k_simple_engine(self, capsys, tmp_path):
+        # a k = 3 hypothesis leaves the plain fragment; its one protected
+        # attribute keeps the instance simple
         sigma_path = tmp_path / "s.txt"
         sigma_path.write_text("x Y3 y\n", encoding="utf-8")
         code, doc = run_json(capsys, "entail", "--sigma", str(sigma_path), "--goal", "x Y y")
-        assert code == 2
-        assert doc["error"]["kind"] == "FragmentError"
+        assert (code, doc["mode"], doc["verdict"]) == (0, "k-simple", "derivable")
+
+    @pytest.mark.parametrize("lines, mode", [
+        ("x Y1 y z", "upsilon"),
+        ("x Y3 y\nx Y1 y z", "k-simple"),
+        ("x Y3 y z\nx Y1 y", "k-saturate"),
+    ])
+    def test_multiplicity_one_atoms_leave_the_fragment_as_it_is(self, capsys, tmp_path, lines, mode):
+        sigma_path = tmp_path / "s.txt"
+        sigma_path.write_text(lines + "\n", encoding="utf-8")
+        for goal in ("x Y y", "x Y1 y z"):
+            code, doc = run_json(capsys, "entail", "--sigma", str(sigma_path), "--goal", goal)
+            assert code != 2 and doc["mode"] == mode, (goal, doc)
 
     def test_multiplicity_too_long_for_int_is_a_parse_error(self, capsys, tmp_path):
         sigma_path = tmp_path / "s.txt"
@@ -403,11 +408,39 @@ class TestOracle:
         assert doc["teams_checked"] == 65536
 
     def test_config_error(self, capsys, chain_sigma):
-        code, doc = run_json(
-            capsys, "oracle", "--sigma", chain_sigma, "--goal", "x Y z", "--attrs", "5",
-        )
+        # OracleConfig states both bounds; the parser leaves them to it
+        for option, value in (("--attrs", "5"), ("--domain-size", "4")):
+            code, doc = run_json(
+                capsys, "oracle", "--sigma", chain_sigma, "--goal", "x Y z", option, value,
+            )
+            assert code == 2
+            assert doc["error"]["kind"] == "ConfigError"
+
+    def test_a_multiplicity_one_hypothesis_does_not_flip_the_status(self, capsys, tmp_path):
+        # b Y c a needs three values to fail; a Y1 b c holds on every team and
+        # leaves the instance plain, so the ternary candidate still refutes it
+        sigma_path = tmp_path / "s.txt"
+        for lines in ("a Y c\nc Y b\n", "a Y c\nc Y b\na Y1 b c\n"):
+            sigma_path.write_text(lines, encoding="utf-8")
+            for domain in ("2", "3"):
+                code, doc = run_json(
+                    capsys, "oracle", "--sigma", str(sigma_path), "--goal", "b Y c a",
+                    "--attrs", "3", "--domain-size", domain,
+                )
+                assert (code, doc["status"]) == (1, "refuted"), (lines, domain)
+
+    def test_a_candidate_past_the_row_cap(self, capsys, tmp_path):
+        # the truncated grid of a Y40 b would start at 40^4 rows, past MAX_ROWS:
+        # the oracle searches without a candidate, and k-simple refuses
+        sigma_path = tmp_path / "s.txt"
+        sigma_path.write_text("a Y40 b\n", encoding="utf-8")
+        code, doc = run_json(capsys, "oracle", "--sigma", str(sigma_path), "--goal", "c Y41 d")
+        assert (code, doc["status"], doc["teams_checked"]) == (3, "unknown", 65536)
+        code, doc = run_json(capsys, "entail", "--sigma", str(sigma_path), "--goal", "c Y41 d")
         assert code == 2
-        assert doc["error"]["kind"] == "ConfigError"
+        assert doc["error"] == {
+            "kind": "ResourceError", "message": "domain 40 over 4 attributes exceeds 2000000 rows",
+        }
 
     def test_three_values_over_four_attributes(self, capsys, tmp_path):
         # 81 rows, 2^81 teams: a plain goal is decided, a k = 3 goal stays
@@ -497,6 +530,7 @@ class TestErrorRecords:
             ["oracle", "--sigma", "s.txt", "--goal", "x Y y", "--attrs", "five"],
             [],
             ["oracle", "--sigma", "s.txt", "--goal", "x Y y", "--mode", "random"],
+            ["entail", "--sigma", "s.txt", "--goal", "x Y y", "--mode", "upsilon"],
         ],
     )
     def test_usage_error_is_a_json_record(self, capsys, argv):
@@ -544,8 +578,9 @@ def test_main_leaves_the_collector_as_it_found_it(
 def test_saturation_output_does_not_depend_on_hash_seed(tmp_path):
     sigma = tmp_path / "sigma.txt"
     sigma.write_text("b Y c e\nd Y3 c\ne Y3 b a\n", encoding="utf-8")
-    argv = [sys.executable, "-m", "anonatom", "entail", "--mode", "k-saturate",
-            "--sigma", str(sigma), "--goal", "d Y3 a c e"]
+    # neither plain nor simple, so entail saturates
+    argv = [sys.executable, "-m", "anonatom", "entail", "--sigma", str(sigma),
+            "--goal", "d Y3 a c e"]
     src = str(Path(anonatom.__file__).resolve().parent.parent)
     outputs = set()
     for seed in "0123":
@@ -554,6 +589,7 @@ def test_saturation_output_does_not_depend_on_hash_seed(tmp_path):
         assert done.returncode == 0, done.stderr
         outputs.add(done.stdout)
     assert len(outputs) == 1
+    assert json.loads(outputs.pop())["mode"] == "k-saturate"
 
 
 @pytest.mark.parametrize("argv", [
@@ -657,9 +693,7 @@ def fuzz_dir(tmp_path_factory):
 @given(
     command=st.sampled_from(
         [
-            ("entail", "--mode=upsilon"),
-            ("entail", "--mode=k-simple"),
-            ("entail", "--mode=k-saturate"),
+            ("entail",),
             ("oracle", "--attrs=4"),
             ("check", "--atom"),
             ("check", "--formula"),
@@ -671,11 +705,11 @@ def fuzz_dir(tmp_path_factory):
 def test_exit_code_contract_holds_for_any_text(fuzz_dir, command, sigma, text):
     sigma_path = fuzz_dir / "sigma.txt"
     sigma_path.write_text(sigma, encoding="utf-8")
-    name, option = command
+    name, *options = command
     if name == "check":
-        argv = [name, f"--team={fuzz_dir / 'team.csv'}", option, text]
+        argv = [name, f"--team={fuzz_dir / 'team.csv'}", *options, text]
     else:
-        argv = [name, f"--sigma={sigma_path}", "--goal", text, option]
+        argv = [name, f"--sigma={sigma_path}", "--goal", text, *options]
     _assert_contract(argv)
 
 
@@ -735,6 +769,8 @@ def _node(rule, published, protected, text, premises=()):
 
 
 _XY_REFUTER = [["0", "0"], ["0", "1"], ["0", "2"], ["1", "1"], ["1", "2"], ["2", "1"], ["2", "2"]]
+_XY3_REFUTER = [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"], ["1", "2"], ["2", "0"], ["2", "1"],
+                ["2", "2"]]
 
 
 def test_reports_are_one_line_of_unchanged_json(capsys, tmp_path, census_csv):
@@ -774,12 +810,17 @@ def test_reports_are_one_line_of_unchanged_json(capsys, tmp_path, census_csv):
             countermodel={"construction": "ternary-grid", "domain_size": 3, "rows": 7,
                           "attributes": ["x", "y"], "failed_goal": "y Y x", "team": _XY_REFUTER},
         )),
-        (["entail", "--sigma", str(empty), "--goal", "x Y3 y", "--mode", "k-saturate"], 3,
-         _report("entail", mode="k-saturate", sigma=[], goal="x Y3 y", verdict="unknown",
+        (["entail", "--sigma", str(one), "--goal", "x Y3 y"], 1, _report(
+            "entail", mode="k-simple", sigma=["x Y y"], goal="x Y3 y", verdict="not-derivable",
+            countermodel={"construction": "truncated-grid", "domain_size": 3, "rows": 8,
+                          "attributes": ["x", "y"], "failed_goal": "x Y3 y", "team": _XY3_REFUTER},
+        )),
+        (["entail", "--sigma", str(empty), "--goal", "x Y3 y z"], 3,
+         _report("entail", mode="k-saturate", sigma=[], goal="x Y3 y z", verdict="unknown",
                  saturated_atoms=0)),
-        (["entail", "--sigma", str(one), "--goal", "a Y3 b", "--mode", "k-saturate"], 3,
-         _report("entail", mode="k-saturate", sigma=["x Y y"], goal="a Y3 b", verdict="unknown",
-                 saturated_atoms=12)),
+        (["entail", "--sigma", str(one), "--goal", "a Y3 b c"], 3,
+         _report("entail", mode="k-saturate", sigma=["x Y y"], goal="a Y3 b c", verdict="unknown",
+                 saturated_atoms=24)),
         (["oracle", "--sigma", str(one), "--goal", "y Y x", "--attrs", "2"], 1, _report(
             "oracle", sigma=["x Y y"], goal="y Y x", status="refuted",
             teams_checked=1, refuter={"attributes": ["x", "y"], "rows": _XY_REFUTER},
@@ -811,8 +852,8 @@ def test_pretty_entail_and_oracle_reports(capsys, tmp_path, chain_sigma):
             "countermodel: 21 rows (ternary-grid, domain size 3)",
             f"countermodel written to {countermodel}",
         ]),
-        (["entail", "--sigma", chain_sigma, "--goal", "x Y3 z", "--mode", "k-saturate"], 3, [
-            "goal: x Y3 z",
+        (["entail", "--sigma", chain_sigma, "--goal", "y Y3 x z"], 3, [
+            "goal: y Y3 x z",
             "verdict: unknown",
             "saturation closed over 10 atoms without reaching the goal",
         ]),

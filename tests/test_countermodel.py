@@ -143,6 +143,14 @@ class TestTruncatedGrid:
         with pytest.raises(FragmentError):
             build_k_anonymity_countermodel(AtomSet.of(), atom("x", "yz", 3))
 
+    @pytest.mark.parametrize(
+        "build", [build_anonymity_countermodel, build_k_anonymity_countermodel]
+    )
+    def test_multiplicity_one_goal_rejected(self, build):
+        # k = 1 atoms leave an instance in both fragments, and hold on every team
+        with pytest.raises(ValueError, match="nothing to refute"):
+            build(AtomSet.of(atom("x", "yz", 1)), atom("x", "y", 1))
+
     def test_deterministic(self):
         a = build_k_anonymity_countermodel(AtomSet.of(atom("x", "y", 2)), atom("x", "y", 4))
         b = build_k_anonymity_countermodel(AtomSet.of(atom("x", "y", 2)), atom("x", "y", 4))

@@ -563,12 +563,87 @@ class TestSaturationBudget:
         monkeypatch.setattr(inference, "MAX_SATURATION_STEPS", self.BUDGET)
         path = tmp_path / "sigma.txt"
         path.write_text("a b Y c d\na b c d Y3 e\n", encoding="utf-8")
-        code = main(["entail", "--sigma", str(path), "--goal", "f Y3 a", "--mode", "k-saturate"])
+        code = main(["entail", "--sigma", str(path), "--goal", "f Y3 a"])  # neither fragment
         assert code == 2
         assert json.loads(capsys.readouterr().out)["error"]["kind"] == "ResourceError"
 
 
+def _leaf(pub, prot, k=2):
+    return Derivation(Rule.HYPOTHESIS, atom(pub, prot, k))
+
+
+# Hand-built illegal trees over the hypotheses x Y y and xy Y z, each with
+# the message of the first illegal step and its path.
+_BAD_TREES = {
+    "hyp-with-premises": (
+        Derivation(Rule.HYPOTHESIS, atom("x", "y"), (_leaf("x", "y"),)),
+        "root: hypothesis leaves take no premises",
+    ),
+    "k1-with-premises": (
+        Derivation(Rule.K1_TRIVIAL, atom("x", "y", 1), (_leaf("x", "y"),)),
+        "root: k1-trivial leaves take no premises",
+    ),
+    "k1-with-k2": (
+        Derivation(Rule.K1_TRIVIAL, atom("x", "y")),
+        "root: k1-trivial conclusion must have multiplicity 1",
+    ),
+    "ex-falso-two-premises": (
+        Derivation(Rule.EX_FALSO, atom("u", "v"), (_leaf("x", "y"), _leaf("xy", "z"))),
+        "root: ex-falso takes exactly one premise",
+    ),
+    "A4-no-premise": (
+        Derivation(Rule.EMPTY_PROTECTED, atom("u", "v")),
+        "root: A4 takes exactly one premise",
+    ),
+    "ex-falso-consistent-premise": (
+        Derivation(Rule.EX_FALSO, atom("u", "v"), (_leaf("x", "y"),)),
+        "root: ex-falso premise must cancel to an empty protected side with k >= 2",
+    ),
+    "A1-no-premise": (
+        Derivation(Rule.PERMUTATION, atom("x", "y")),
+        "root: A1 takes exactly one premise",
+    ),
+    "A2-two-premises": (
+        Derivation(Rule.MONOTONICITY, atom("x", "y"), (_leaf("x", "y"), _leaf("x", "y"))),
+        "root: A2 takes exactly one premise",
+    ),
+    "permutation-swaps-sides": (
+        Derivation(Rule.PERMUTATION, atom("y", "x"), (_leaf("x", "y"),)),
+        "root: permutation must preserve both attribute sets and the multiplicity",
+    ),
+    "composition-one-link": (
+        Derivation(Rule.COMPOSITION, atom("x", "y"), (_leaf("x", "y"),)),
+        "root: composition takes at least two premises",
+    ),
+    "composition-published-side": (
+        Derivation(Rule.COMPOSITION, atom("xy", "z", 4), (_leaf("x", "y"), _leaf("xy", "z"))),
+        "root: composition must publish what its first link publishes",
+    ),
+    "composition-protected-union": (
+        Derivation(Rule.COMPOSITION, atom("x", "z", 4), (_leaf("x", "y"), _leaf("xy", "z"))),
+        "root: composition must protect the union of its links' protected sides",
+    ),
+    "unknown-rule": (
+        Derivation("A6", atom("x", "y"), (_leaf("x", "y"),)),
+        "root: unknown rule 'A6'",
+    ),
+    "failing-premise": (
+        Derivation(Rule.MONOTONICITY, atom("", "y"), (
+            Derivation(Rule.PERMUTATION, atom("x", "y"), (_leaf("u", "v"),)),
+        )),
+        "root.premises[0].premises[0]: Atom(published=('u',), protected=('v',), k=2) "
+        "is not a hypothesis",
+    ),
+}
+
+
 class TestVerifyDerivation:
+    @pytest.mark.parametrize("tree, message", _BAD_TREES.values(), ids=_BAD_TREES)
+    def test_illegal_step_is_located(self, tree, message):
+        sigma = AtomSet.of(atom("x", "y"), atom("xy", "z"))
+        assert not verify_derivation(tree, sigma)
+        assert explain_derivation(tree, sigma) == message
+
     def test_perturbed_conclusion_rejected(self):
         sigma = AtomSet.of(atom("xy", "z"))
         result = entails_anonymity(sigma, atom("x", "zu"))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import sys
 from collections import Counter
@@ -542,3 +543,50 @@ class TestSmallestA1A5Gap:
         # UNKNOWN rather than ENTAILED: no small-model bound covers k = 3
         result = semantic_entails(self.SIGMA, self.GOAL, OracleConfig(domain_size=domain))
         assert result == OracleResult(OracleStatus.UNKNOWN, None, teams)
+
+
+def _random_atom(rng, attrs, kind, k=None):
+    """An atom over ``attrs`` for a ``kind`` of instance: plain (k = 2),
+    simple (one protected attribute) or general."""
+    most = min(2, len(attrs))
+    protected = rng.sample(attrs, 1 if kind == "simple" else rng.randint(1, most))
+    published = rng.sample(attrs, rng.randint(1, most))  # the grammar needs one
+    if k is None:
+        k = 2 if kind == "plain" else rng.randint(2, 4)
+    return Atom(tuple(published), tuple(protected), k)
+
+
+class TestMultiplicityOneHypotheses:
+    """A k = 1 atom holds on every team, so adding one to the hypotheses
+    changes no answer: neither the oracle's status at D = 2 or D = 3 nor
+    ``entail``'s verdict or exit code."""
+
+    def test_an_added_y1_hypothesis_changes_nothing(self, tmp_path, capsys):
+        from anonatom.cli import main
+        from anonatom.syntax import format_atom
+
+        def outcomes(sigma, goal):
+            path = tmp_path / "sigma.txt"
+            path.write_text("".join(format_atom(a) + "\n" for a in sigma), encoding="utf-8")
+            code = main(["entail", "--sigma", str(path), "--goal", format_atom(goal)])
+            document = json.loads(capsys.readouterr().out)
+            statuses = [
+                semantic_entails(sigma, goal, OracleConfig(domain_size=domain)).status
+                for domain in (2, 3)
+            ]
+            return code, document.get("verdict"), statuses
+
+        rng = random.Random(7)
+        changed = []
+        for i in range(300):
+            kind = ("plain", "simple", "general")[i % 3]
+            attrs = "abc"[: rng.randint(2, 3)]
+            sigma = AtomSet.of(*(_random_atom(rng, attrs, kind) for _ in range(rng.randint(0, 3))))
+            goal = _random_atom(rng, attrs, kind)
+            attrs = sorted({*sigma.attributes, *goal.attributes()})  # the instance's own
+            y1 = _random_atom(rng, attrs, "general", k=1)
+            before = outcomes(sigma, goal)
+            after = outcomes(AtomSet.of(*sigma, y1), goal)
+            if after != before:
+                changed.append((kind, sigma, y1, goal, before, after))
+        assert changed == []

@@ -32,8 +32,8 @@ from anonatom import (
 from anonatom.countermodel import _refutes, candidate_teams
 from conftest import all_normal_shapes
 
-EXPECTED = "828ce20c30c84bc906ff583c3aea22ab2248a3fc8aa1d207758265e8d1126b72"
-EXPECTED_VERDICTS = "a8c680c83cebaa2ae6abc69464409b57021bf579b64fffe7148da7e52deeec42"
+EXPECTED = "9d7df36171f108079822cd1e9cdedd1b559b63b1031de9199e477df6e12d066e"
+EXPECTED_VERDICTS = "a7d537735a5a4afea7784ea3694dc2063a28a8a89745a9adae6c5850565c79a5"
 
 
 def _team(team):
