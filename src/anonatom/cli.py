@@ -9,15 +9,25 @@ report's header and prints every report, error records included.
 Each command imports the modules it runs when it runs, so that a process
 loads only what its command needs: ``audit`` no entailment module,
 ``--version`` none of the checkers.
+
+A report that cannot be written (standard output closed, a closed pipe, a
+full disk) exits 2 with one line on standard error.  ``console_main``, the
+command-line entry, ends the process without the interpreter's teardown:
+freeing every module and object took 5-7 ms of a ~57 ms ``oracle`` run, 12 %
+of an instrumented one, against 0.38 ms of search.  mypy's
+``util.hard_exit`` makes the same trade.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import contextlib
 import functools
 import gc
 import itertools
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Sequence
 
@@ -353,6 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     header = {"tool": "anonatom", "version": __version__}
     collecting = gc.isenabled()
+    report = None  # None after --help or --version, which argparse prints
     try:
         args = build_parser().parse_args(argv)
         # a command's per-row objects form no cycles and live until it
@@ -360,20 +371,71 @@ def main(argv: Sequence[str] | None = None) -> int:
         gc.disable()
         code, fields, pretty = args.func(args)
         if args.pretty:
-            print("\n".join(pretty))
+            report = "\n".join(pretty)
         else:  # with indent, json falls back to pure Python
-            print(json.dumps({**header, "command": args.command, **fields}))
-        return code
-    except SystemExit as exit_:  # --help or --version, already printed
-        code = exit_.code
-        return code if isinstance(code, int) else EXIT_ERROR
+            report = json.dumps({**header, "command": args.command, **fields})
+    except SystemExit as exit_:
+        code = exit_.code if isinstance(exit_.code, int) else EXIT_ERROR
     except (AnonatomError, OSError, ValueError, argparse.ArgumentError) as exc:
-        print(json.dumps({**header, "error": {"kind": type(exc).__name__, "message": str(exc)}}))
-        return EXIT_ERROR
+        code = EXIT_ERROR
+        report = json.dumps({**header, "error": {"kind": type(exc).__name__, "message": str(exc)}})
     finally:
         if collecting:
             gc.enable()
+    return _write_report(report, code)
+
+
+def _write_report(report: str | None, code: int) -> int:
+    """Print ``report`` and flush standard output; return ``code``, or 2
+    after one line on standard error when the report cannot be written."""
+    try:
+        if sys.stdout is None:  # the process started with fd 1 closed
+            raise OSError("standard output is closed")
+        if report is not None:
+            print(report)
+        sys.stdout.flush()
+    except (OSError, ValueError) as exc:
+        with contextlib.suppress(OSError, ValueError):
+            print(f"anonatom: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    return code
+
+
+def _observed() -> bool:
+    """Whether a tracer or profiler is set: a debugger, coverage or cProfile
+    (which from Python 3.12 registers through ``sys.monitoring``)."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(map(monitoring.get_tool, range(6)))
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    """Run ``main`` and end the process with its exit code, without the
+    interpreter's teardown.
+
+    This is the entry of ``python -m anonatom`` and of the ``anonatom``
+    script.  It runs the registered exit handlers, flushes standard output
+    and standard error, and calls ``os._exit``: all that is skipped is
+    freeing every module and object, 5-7 ms of a ~57 ms ``oracle`` process,
+    as mypy's ``util.hard_exit`` does.  Under a tracer or profiler it raises
+    ``SystemExit`` instead, so that they see a normal exit.
+    """
+    code = main()
+    observed = _observed()
+    if not observed:
+        atexit._run_exitfuncs()  # the interpreter runs them before its final flush
+    try:
+        sys.stdout.flush()
+    except (AttributeError, OSError, ValueError):
+        # main's own flush failed first (it has said so and returned 2), or
+        # an exit handler wrote to the dead stream.  What is left in the
+        # buffer goes to the null device, so that the interpreter's final
+        # flush after SystemExit cannot fail again.
+        code = EXIT_ERROR
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    with contextlib.suppress(AttributeError, OSError, ValueError):
+        sys.stderr.flush()
+    if observed:
+        raise SystemExit(code)
+    os._exit(code)

@@ -894,3 +894,183 @@ def test_csv_with_a_byte_order_mark_audits(capsys, tmp_path, census_csv):
     _, plain = run_json(capsys, "audit", "--team", census_csv, *argv)
     assert doc["team"]["attributes"] == plain["team"]["attributes"] == ["surname", "hometown", "salary"]
     assert doc["degree"] == plain["degree"] == 2
+
+
+# ``console_main`` ends the process with ``os._exit``, so what it must
+# still do (flush, run the exit handlers, keep the exit code, fall back to a
+# normal exit under a profiler) is checked in real processes.  The child's
+# environment drops PYTHONUNBUFFERED, so that its standard output is
+# block-buffered as in a shell or a pipe, where a missing flush loses text.
+_SRC = str(Path(anonatom.__file__).resolve().parent.parent)
+_VERSION = f"anonatom {anonatom.__version__}\n"
+
+
+def _child_env():
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _child(*argv, prefix=(), **kwargs):
+    """Run ``python [prefix] -m anonatom argv`` with block-buffered output."""
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, *prefix, "-m", "anonatom", *argv], env=_child_env(),
+        stderr=subprocess.PIPE, text=True, timeout=60, **kwargs,
+    )
+
+
+@pytest.fixture
+def wide_csv(tmp_path):
+    """A team whose audit report has one group per row, over 64 KB."""
+    path = tmp_path / "wide.csv"
+    rows = "".join(f"{i},{i % 7},{i % 3}\n" for i in range(3000))
+    path.write_text("id,town,salary\n" + rows, encoding="utf-8")
+    return str(path)
+
+
+class TestProcessExit:
+    @pytest.mark.parametrize("argv", [["--version"], ["check", "--help"]])
+    def test_version_and_help_text_arrive(self, capsys, argv):
+        done = _child(*argv)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == run(capsys, *argv)[1]
+        assert done.stdout.startswith((_VERSION, "usage: anonatom check"))
+
+    def test_a_large_report_arrives_whole(self, capsys, wide_csv):
+        argv = ["audit", "--team", wide_csv, "--publish", "id", "--protect", "salary"]
+        done = _child(*argv)
+        assert done.returncode == 0, done.stderr
+        assert len(done.stdout) > 65536
+        assert done.stdout == run(capsys, *argv)[1]
+
+    @pytest.mark.parametrize("sigma, goal, expected", [
+        ("x y Y z\n", "x Y z u", 0),
+        ("x Y y\ny Y z\n", "x Y z", 1),
+        ("x Y y\n", "x y", 2),
+        ("", "x Y3 y z", 3),
+    ])
+    def test_exit_codes_pass_through(self, capsys, tmp_path, sigma, goal, expected):
+        path = tmp_path / "sigma.txt"
+        path.write_text(sigma, encoding="utf-8")
+        argv = ["entail", "--sigma", str(path), "--goal", goal]
+        done = _child(*argv)
+        assert (done.returncode, done.stderr) == (expected, "")
+        assert (done.returncode, done.stdout) == run(capsys, *argv)
+
+    def test_the_duplicate_row_warning_arrives(self, tmp_path):
+        team = tmp_path / "team.csv"
+        team.write_text("x,y\n0,1\n0,1\n0,2\n", encoding="utf-8")
+        done = _child("check", "--team", str(team), "--atom", "x Y y")
+        assert done.returncode == 0
+        assert done.stderr == "warning: collapsed 1 duplicate row(s)\n"
+        assert json.loads(done.stdout)["team"]["duplicate_rows"] == 1
+
+    @pytest.mark.parametrize("command, option", [
+        ("entail", "--countermodel-out"), ("oracle", "--refuter-out"),
+    ])
+    def test_written_teams_are_complete(self, capsys, tmp_path, chain_sigma, command, option):
+        argv = [command, "--sigma", chain_sigma, "--goal", "x Y z"]
+        inside, outside = tmp_path / "inside.csv", tmp_path / "outside.csv"
+        assert main([*argv, option, str(inside)]) == 1
+        capsys.readouterr()
+        done = _child(*argv, option, str(outside))
+        assert done.returncode == 1, done.stderr
+        assert outside.read_bytes() == inside.read_bytes()
+        assert len(read_team_csv(str(outside)).team) >= 1
+
+    def test_exit_handlers_run_and_their_output_arrives(self):
+        script = ("import atexit, sys; atexit.register(print, 'handler ran'); "
+                  "sys.argv[1:] = ['--version']; "
+                  "from anonatom.cli import console_main; console_main()")
+        done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == _VERSION + "handler ran\n"
+
+    def test_a_profiler_sees_a_normal_exit(self):
+        done = _child("--version", prefix=("-m", "cProfile"))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith(_VERSION)
+        assert "function calls" in done.stdout  # the profiler's table
+
+
+def _closed_pipe():
+    """The write end of a pipe whose reader has closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+# Each way standard output can be dead: the child's stdout argument, or
+# None for a process started with fd 1 closed (``>&-``).
+_DEAD_STDOUT = {
+    "dev-full": lambda: open("/dev/full", "w"),
+    "closed-pipe": _closed_pipe,
+    "closed": lambda: None,
+}
+
+
+def _run_dead(kind, command):
+    """Run ``command`` with the dead standard output ``kind``."""
+    if kind == "dev-full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    sink = _DEAD_STDOUT[kind]()
+    try:
+        if sink is None:
+            command = ["/bin/sh", "-c", 'exec "$0" "$@" >&-', *command]
+        return subprocess.run(
+            command, stdout=sink, stderr=subprocess.PIPE, env=_child_env(), text=True, timeout=60,
+        )
+    finally:
+        if isinstance(sink, int):
+            os.close(sink)
+        elif sink is not None:
+            sink.close()
+
+
+_CANNOT_WRITE = "anonatom: cannot write the report: "
+
+
+# With fd 1 closed, argparse prints the version to standard error instead.
+@pytest.mark.parametrize("report, kind", [
+    (report, kind) for report in ("entail", "audit", "version") for kind in _DEAD_STDOUT
+    if (report, kind) != ("version", "closed")
+])
+def test_a_report_that_cannot_be_written_exits_two(chain_sigma, wide_csv, report, kind):
+    """A closed or full standard output is an error (2), with one line on
+    standard error and no traceback, whether the report fails as it is
+    written (the large audit) or as it is flushed."""
+    argv = {
+        "entail": ["entail", "--sigma", chain_sigma, "--goal", "x y Y z"],
+        "audit": ["audit", "--team", wide_csv, "--publish", "id", "--protect", "salary"],
+        "version": ["--version"],
+    }[report]
+    done = _run_dead(kind, [sys.executable, "-m", "anonatom", *argv])
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(_CANNOT_WRITE)
+    assert done.stderr.count("\n") == 1, done.stderr
+
+
+@pytest.mark.parametrize("kind", list(_DEAD_STDOUT))
+def test_under_a_tracer_a_dead_stdout_still_exits_two(chain_sigma, kind):
+    """With a tracer set, ``console_main`` raises SystemExit; the
+    interpreter's final flush must not fail again (exit 120)."""
+    script = ("import sys; sys.settrace(lambda *args: None); "
+              f"sys.argv[1:] = ['entail', '--sigma', {chain_sigma!r}, '--goal', 'x y Y z']; "
+              "from anonatom.cli import console_main; console_main()")
+    done = _run_dead(kind, [sys.executable, "-c", script])
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(_CANNOT_WRITE)
+    assert done.stderr.count("\n") == 1, done.stderr
+
+
+@pytest.mark.parametrize("stdout", [None, "closed"])
+def test_main_returns_two_when_it_cannot_write(capsys, monkeypatch, chain_sigma, stdout):
+    if stdout == "closed":
+        stdout = io.StringIO()
+        stdout.close()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["entail", "--sigma", chain_sigma, "--goal", "x y Y z"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(_CANNOT_WRITE) and err.count("\n") == 1
